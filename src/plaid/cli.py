@@ -17,13 +17,16 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from . import __version__
 from .exactnum import QuadraticTarget, parse_irrational
 from .numtheory import (EvenRational, approximating_sequence, diophantine_check,
                         kappa, predecessor_chain, tune, verify_omnibus)
 from .numtheory import main_identity as nt_main_identity
 from .grid import cap_scaled, mass_scaled
-from .tiling import big_polygon, build_tiling, first_block_tiling, trace_polygons
+from .tiling import (CoherenceError, _edge_counts, big_polygon, build_tiling,
+                     first_block_tiling, trace_polygons)
 from . import copying, pet, svgout
 
 
@@ -87,46 +90,22 @@ def check_coherence(r: EvenRational) -> tuple[bool, str]:
 
 
 def check_hier(r: EvenRational) -> tuple[bool, str]:
-    import numpy as np
     om = r.omega
-    from .tiling import _light_arr, _mass_arr
+    try:
+        hcount, vcount = _edge_counts(r, 0, om * om, 0, om)
+    except CoherenceError as exc:
+        return False, str(exc)
+    cap = np.abs([cap_scaled(r, n) for n in range(om)])
     # vertical lines: one vertical period suffices
-    for x0 in range(0, om * om):
-        k = abs(cap_scaled(r, x0))
-        cnt = 0
-        if x0 % om:
-            C = cap_scaled(r, x0)
-            f = (2 * r.p * x0) // om
-            b = np.arange(om)
-            cnt = int(_light_arr(C, _mass_arr(r, b + f + 1), om).sum()
-                      + _light_arr(C, _mass_arr(r, (b - f) + 2 * x0), om).sum())
-        if cnt != k:
-            return False, f"V line x={x0} carries {cnt} light points, capacity {k}"
+    per_line = vcount[:-1].sum(axis=1)
+    for x0 in np.flatnonzero(per_line != np.tile(cap, om))[:1]:
+        return False, (f"V line x={x0} carries {per_line[x0]} light points, "
+                       f"capacity {cap[x0 % om]}")
     # horizontal lines: every block window, corners once, midpoints twice
-    for y0 in range(0, om):
-        C = cap_scaled(r, y0)
-        k = abs(C)
-        per_block = np.zeros(om, dtype=np.int64)
-        if C != 0:
-            for den, step in ((2 * r.p, r.p), (2 * r.q, r.q)):
-                t = np.arange(0, den * om + 1)
-                t = t[t % step != 0]  # shared double points enumerated below
-                lit = _light_arr(C, _mass_arr(r, y0 + t), om)
-                blk = (om * t[lit]) // den // om
-                np.add.at(per_block, blk[blk < om], 1)
-            u = np.arange(0, 2 * om + 1)
-            lit = _light_arr(C, _mass_arr(r, y0 + r.p * u), om)
-            xs = (om * u[lit & (u % 2 == 0)]) // 2
-            for blk in (xs // om, xs // om - 1):  # closed windows: both sides
-                sel = (blk >= 0) & (blk < om)
-                np.add.at(per_block, blk[sel], 1)
-            xm = (om * u[lit & (u % 2 == 1)]) // 2
-            blk = xm // om
-            np.add.at(per_block, blk[blk < om], 2)
-        if not np.all(per_block == k):
-            bad = int(np.argmin(per_block == k))
-            return False, (f"H line y={y0} block {bad} carries "
-                           f"{int(per_block[bad])} light points, capacity {k}")
+    per_block = hcount[:, :-1].reshape(om, om, om).sum(axis=1).T
+    for y0, blk in np.argwhere(per_block != cap[:, None])[:1]:
+        return False, (f"H line y={y0} block {blk} carries "
+                       f"{per_block[y0, blk]} light points, capacity {cap[y0]}")
     return True, ""
 
 
@@ -186,7 +165,6 @@ def check_copytheorem(r: EvenRational) -> tuple[bool, str]:
 
 
 def check_pet(r: EvenRational) -> tuple[bool, str]:
-    import numpy as np
     tiling = first_block_tiling(r)
     loops = trace_polygons(tiling)
     covered = set()
@@ -446,8 +424,9 @@ def cmd_verify(args) -> int:
         elif args.what == "tree":
             chain = predecessor_chain(r)
             terms = chain.approximating_terms()
-            depth = args.depth or len(terms)
-            real = copying.realize_tree(terms, min(depth, len(terms)))
+            if args.depth is not None and args.depth < 1:
+                raise ValueError(f"--depth must be at least 1, got {args.depth}")
+            real = copying.realize_tree(terms, min(args.depth or len(terms), len(terms)))
             payload.update(param=str(r), depth=real.depth,
                            terms=[str(t) for t in real.terms],
                            translations=real.translations,

@@ -7,10 +7,17 @@ x = 0 mod omega) counts once toward each of the two horizontal edges meeting
 it.  Coherence (every square has 0 or 2 good edges) is inherited from the
 underlying model and re-checked here; a violation is a hard failure.
 
-The bulk constructor is vectorized with integer numpy arrays; a scalar
-``tile_at`` path computes single squares at arbitrary coordinates (used for
-window probes at parameters too large to tile densely).  Both paths share
-the same conventions and are cross-checked in the tests.
+Every edge carries exactly two crossings with negative-slope lines, and both
+capacities and masses repeat with period omega, so one kernel counts all
+edges of a rectangle from the period table L[line mod omega, intercept mod
+omega].  A vertical edge reads two cyclic windows of one row of L; a
+horizontal edge reads its P and Q crossings, a corner going to the edge on
+its right for P and on its left for Q.  The kernel works on whole lines,
+_BLOCK elements at a time, and reduces every coordinate mod omega before it
+multiplies, so its int64 products stay below 2 * omega**2.  Rectangles
+smaller than the table evaluate L entry by entry.  The scalar
+``tile_bits_at`` is the independent oracle; the tests pit the two against
+each other.
 """
 
 from __future__ import annotations
@@ -40,27 +47,79 @@ class CoherenceError(AssertionError):
     """A unit square with an odd number of good edges: model violation."""
 
 
-def _mass_arr(r: EvenRational, j: np.ndarray) -> np.ndarray:
+_BLOCK = 1 << 18  # elements per block of lines: int64 temporaries near 2 MB
+_MAX_OMEGA = 1 << 31  # keeps the kernel's products, all below 2 * omega**2, in int64
+
+
+def _light(r: EvenRational, n: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``is_light_value`` on the capacity lines at residues 0 <= n < omega,
+    against the negative-slope lines through (0, j) for 0 <= j < 2*omega."""
     om = r.omega
-    v = (2 * r.p * j + om) % (2 * om)
-    return np.where(v > om, v - 2 * om, v)
+    C = (4 * r.p * n) % (2 * om)
+    C = np.where(C > om, C - 2 * om, C)
+    M = (2 * r.p * j + om) % (2 * om)
+    M = np.where(M > om, M - 2 * om, M)
+    return (M != om) & (np.abs(M) < np.abs(C)) & (M * C > 0)
 
 
-def _light_arr(C: int, M: np.ndarray, om: int) -> np.ndarray:
-    return (M != om) & (np.abs(M) < abs(C)) & (M * C > 0)
+def _pair_counts(r: EvenRational, table, n, s1, s2, c1, c2) -> np.ndarray:
+    """out[i, e] = L[n_i, s1_i + c1_e] + L[n_i, s2_i + c2_e] for arguments in
+    [0, omega), one block of lines at a time.  ``table`` is L with rows of
+    length 2*omega, flattened, or None to evaluate L entry by entry."""
+    out = np.empty((n.size, c1.size), dtype=np.int8)
+    step = max(1, _BLOCK // max(1, c1.size))
+    for i in range(0, n.size, step):
+        blk = slice(i, i + step)
+        lit = [_light(r, n[blk, None], s[blk, None] + c) if table is None
+               else table[(n[blk] * (2 * r.omega) + s[blk])[:, None] + c]
+               for s, c in ((s1, c1), (s2, c2))]
+        np.add(*lit, out=out[blk], dtype=np.int8)
+    return out
+
+
+def _edge_counts(r: EvenRational, x0: int, x1: int, y0: int, y1: int):
+    """Light-point counts of all unit edges of the rectangle [x0, x1] x [y0, y1].
+
+    Returns int8 arrays (h, v): h[a - x0, y - y0] counts the horizontal edge
+    [a, a+1] x {y}, v[x - x0, b - y0] the vertical edge {x} x [b, b+1].
+    """
+    om, p, q = r.omega, r.p, r.q
+    if om >= _MAX_OMEGA:
+        raise OverflowError(f"omega = {om} is too large for the int64 edge kernel")
+    w, h = x1 - x0, y1 - y0
+    table = None
+    if 2 * om * om <= (w + 1) * h + w * (h + 1):  # no larger than its output
+        table = _light(r, np.arange(om)[:, None], np.arange(2 * om)).view(np.int8).ravel()
+    # vertical line x: witnesses b + f + 1 and b - f + 2x, f = floor(2px/omega)
+    k, n = np.divmod(np.arange(x0, x1 + 1, dtype=np.int64), om)
+    f = 2 * p * (k % om) + 2 * p * n // om
+    col = (y0 % om + np.arange(h, dtype=np.int64)) % om
+    v = _pair_counts(r, table, n, (f + 1) % om, (2 * n - f) % om, col, col)
+    # horizontal line y: edge a holds the P crossings omega*t/(2p) in [a, a+1)
+    # and the Q crossings omega*t/(2q) in (a, a+1] with the lines through
+    # (0, y + t), two in all, so a midpoint counts twice and a corner once
+    # on each side.  Offsets are taken from the block of x0, so that every
+    # product stays below 2 * omega**2.
+    k0, r0 = divmod(x0, om)
+    m, rho = np.divmod(np.arange(r0, r0 + w + 1, dtype=np.int64), om)
+    tp = 2 * p * m - (-2 * p * rho) // om + 2 * p * k0 % om
+    tq = 2 * q * m + 2 * q * rho // om + 1 + 2 * q * k0 % om
+    has_p = np.diff(tp) == 1
+    tp, tq = tp[:-1] % om, tq[:-1] % om
+    ys = np.arange(y0, y1 + 1, dtype=np.int64) % om
+    # the P and Q lines through a double point x = omega*u/2 must agree
+    u = np.arange(-(-2 * x0 // om), 2 * x1 // om + 1, dtype=np.int64) % om
+    odd = (_pair_counts(r, table, ys, ys, ys, p * u % om, q * u % om) == 1).any(axis=1)
+    if odd.any():
+        raise CoherenceError(f"P/Q witness mismatch on line y={y0 + int(np.argmax(odd))}")
+    hc = _pair_counts(r, table, ys, ys, ys, np.where(has_p, tp, tq),
+                      np.where(has_p, tq, (tq + 1) % om))
+    return np.ascontiguousarray(hc.T), v
 
 
 def v_edges_good(r: EvenRational, x0: int, b0: int, b1: int) -> np.ndarray:
     """Goodness of the vertical edges x = x0, y in [b, b+1] for b0 <= b < b1."""
-    om = r.omega
-    if x0 % om == 0:
-        return np.zeros(b1 - b0, dtype=bool)
-    C = cap_scaled(r, x0)
-    f = (2 * r.p * x0) // om
-    b = np.arange(b0, b1, dtype=np.int64)
-    cnt = _light_arr(C, _mass_arr(r, b + f + 1), om).astype(np.int8)
-    cnt += _light_arr(C, _mass_arr(r, (b - f) + 2 * x0), om)
-    return cnt == 1
+    return _edge_counts(r, x0, x0, b0, b1)[1][0] == 1
 
 
 def h_edges_count(r: EvenRational, y0: int, a0: int, a1: int) -> np.ndarray:
@@ -69,38 +128,7 @@ def h_edges_count(r: EvenRational, y0: int, a0: int, a1: int) -> np.ndarray:
     Midpoint light points contribute 2, corner light points contribute 1 to
     each of the two incident edges.
     """
-    om, p, q = r.omega, r.p, r.q
-    C = cap_scaled(r, y0)
-    n_seg = a1 - a0
-    counts = np.zeros(n_seg, dtype=np.int16)
-    if C == 0:
-        return counts
-    for den, step in ((2 * p, p), (2 * q, q)):
-        # crossings at x = omega * t / den for integer t; t = step*u are the
-        # double points shared by both slopes (u even: corner, u odd: midpoint)
-        tlo = -((-den * a0) // om)
-        thi = (den * a1) // om
-        t = np.arange(tlo, thi + 1, dtype=np.int64)
-        t = t[t % step != 0]
-        lit = _light_arr(C, _mass_arr(r, y0 + t), om)
-        seg = (om * t[lit]) // den - a0  # generic x is never an integer
-        np.add.at(counts, seg[(seg >= 0) & (seg < n_seg)], 1)
-    # shared double points, enumerated once: x = omega * u / 2
-    ulo = -((-2 * a0) // om)
-    uhi = (2 * a1) // om
-    u = np.arange(ulo, uhi + 1, dtype=np.int64)
-    if u.size:
-        lit = _light_arr(C, _mass_arr(r, y0 + p * u), om)
-        litq = _light_arr(C, _mass_arr(r, y0 + q * u), om)
-        if not np.array_equal(lit, litq):  # both slopes must witness together
-            raise CoherenceError(f"P/Q witness mismatch on line y={y0}")
-        corner = u % 2 == 0
-        xc = (om * u[lit & corner]) // 2
-        for seg in (xc - a0, xc - 1 - a0):  # corner feeds both incident edges
-            np.add.at(counts, seg[(seg >= 0) & (seg < n_seg)], 1)
-        seg = (om * u[lit & ~corner]) // 2 - a0
-        np.add.at(counts, seg[(seg >= 0) & (seg < n_seg)], 2)
-    return counts
+    return _edge_counts(r, a0, a1, y0, y0)[0][:, 0]
 
 
 def h_edges_good(r: EvenRational, y0: int, a0: int, a1: int) -> np.ndarray:
@@ -140,7 +168,6 @@ def good_segments(r: EvenRational, square: tuple[int, int]) -> set[str]:
 
 def tile_bits_at(r: EvenRational, a: int, b: int) -> int:
     """Edge bitmask of the square [a, a+1] x [b, b+1]; scalar exact path."""
-    om = r.omega
     bits = 0
     if _h_count_scalar(r, b + 1, a) == 1:
         bits |= N
@@ -192,20 +219,14 @@ def _h_count_scalar(r: EvenRational, y0: int, a: int) -> int:
 
 def build_tiling(r: EvenRational, x0: int, x1: int, y0: int, y1: int) -> PlaidTiling:
     """Tiles for all unit squares [a, a+1] x [b, b+1], a in [x0, x1), b in [y0, y1)."""
-    w, h = x1 - x0, y1 - y0
-    hgood = np.zeros((w, h + 1), dtype=bool)
-    for y in range(y0, y1 + 1):
-        hgood[:, y - y0] = h_edges_good(r, y, x0, x1)
-    vgood = np.zeros((w + 1, h), dtype=bool)
-    for x in range(x0, x1 + 1):
-        vgood[x - x0, :] = v_edges_good(r, x, y0, y1)
-    tiles = (hgood[:, 1:] * N + hgood[:, :-1] * S
-             + vgood[1:, :] * E + vgood[:-1, :] * W).astype(np.uint8)
+    hgood, vgood = (c == 1 for c in _edge_counts(r, x0, x1, y0, y1))
+    tiles = (hgood[:, 1:] * np.uint8(N) | hgood[:, :-1] * np.uint8(S)
+             | vgood[1:] * np.uint8(E) | vgood[:-1] * np.uint8(W))
     degree = (hgood[:, 1:].astype(np.int8) + hgood[:, :-1]
               + vgood[1:, :] + vgood[:-1, :])
-    bad = np.argwhere((degree != 0) & (degree != 2))
-    if bad.size:
-        a, b = bad[0]
+    bad = (degree != 0) & (degree != 2)
+    if bad.any():
+        a, b = np.argwhere(bad)[0]
         raise CoherenceError(
             f"square ({a + x0},{b + y0}) of {r} has {int(degree[a, b])} good edges")
     return PlaidTiling(r, x0, y0, tiles)

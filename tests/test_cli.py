@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from plaid import cli
 from plaid.cli import main
+from plaid.grid import cap_scaled, is_light_value, mass_scaled
+from plaid.numtheory import EvenRational
+from plaid.tiling import _edge_counts, _h_count_scalar
 
 
 def run(argv):
@@ -23,6 +28,43 @@ def test_usage_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["bogus"])
     assert exc.value.code == 2
+
+
+def test_verify_tree_depth_below_one_is_usage_error(capsys):
+    assert run(["verify", "tree", "2/5", "--depth", "0"]) == 2
+    assert "--depth must be at least 1" in capsys.readouterr().err
+    assert run(["verify", "tree", "2/5", "--depth", "-1"]) == 2
+    assert run(["verify", "tree", "2/5", "--depth", "1"]) == 0
+
+
+def test_hier_totals_match_scalar_counts():
+    # check_hier reduces the edge kernel's counts; rebuild its totals from
+    # the scalar light test and the scalar horizontal edge count
+    for r in cli.even_rationals(31):
+        om = r.omega
+        hcount, vcount = _edge_counts(r, 0, om * om, 0, om)
+        # a vertical line meets every intercept residue twice per period
+        lit = [sum(is_light_value(cap_scaled(r, n), mass_scaled(r, j), om)
+                   for j in range(om)) for n in range(om)]
+        assert vcount[:-1].sum(axis=1).tolist() == [2 * lit[x % om]
+                                                     for x in range(om * om)]
+        for y in range(om):
+            scalar = [_h_count_scalar(r, y, a) for a in range(om * om)]
+            assert (hcount[:, y].reshape(om, om).sum(axis=1).tolist()
+                    == np.reshape(scalar, (om, om)).sum(axis=1).tolist())
+
+
+@pytest.mark.parametrize("which,edge,detail", [
+    (1, (10, 3), "V line x=10 carries 5 light points, capacity 4"),
+    (0, (23, 4), "H line y=4 block 3 carries 5 light points, capacity 4"),
+])
+def test_check_hier_failure_detail(monkeypatch, which, edge, detail):
+    def one_extra_light_point(*args):
+        counts = _edge_counts(*args)
+        counts[which][edge] += 1
+        return counts
+    monkeypatch.setattr(cli, "_edge_counts", one_extra_light_point)
+    assert cli.check_hier(EvenRational(2, 5)) == (False, detail)
 
 
 def test_verify_copy_core_pass(tmp_path, capsys):

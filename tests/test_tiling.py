@@ -3,11 +3,14 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plaid.numtheory import EvenRational
-from plaid.tiling import (big_polygon, build_tiling, first_block_tiling,
-                          good_segments, h_edges_count, h_edges_good,
-                          tile_bits_at, trace_polygons, v_edges_good)
+from plaid.tiling import (_h_count_scalar, big_polygon, build_tiling,
+                          first_block_tiling, good_segments, h_edges_count,
+                          h_edges_good, tile_bits_at, trace_polygons, v_edges_good)
 
 
 def even_rationals(max_omega):
@@ -165,3 +168,62 @@ def test_empty_region_is_fine():
     tiling = build_tiling(r, 0, 0, 0, 0)
     assert tiling.tiles.size == 0
     assert trace_polygons(tiling) == []
+
+
+def test_far_tiles_do_not_wrap_int64():
+    # at omega = 3,000,017 a product 2*p*j with j near omega**2 leaves int64;
+    # the dense path must reduce intercepts mod omega before multiplying
+    r = EvenRational(1500001, 1500016)
+    om = r.omega
+    tiling = build_tiling(r, om * om - 4, om * om + 4, 0, 6)
+    assert tiling.tiles.any()
+    for a in range(om * om - 4, om * om + 4):
+        for b in range(6):
+            assert tiling.tile_bits(a, b) == tile_bits_at(r, a, b)
+
+
+def test_dense_path_refuses_omega_beyond_int64():
+    with pytest.raises(OverflowError):
+        build_tiling(EvenRational(2 ** 30, 2 ** 30 + 1), 0, 1, 0, 1)
+
+
+@st.composite
+def even_rational(draw, max_omega):
+    om = 2 * draw(st.integers(1, (max_omega - 1) // 2)) + 1
+    p = draw(st.integers(1, om // 2))
+    assume(gcd(p, om) == 1)
+    return EvenRational(p, om - p)
+
+
+ORIGINS = st.integers(-10 ** 12, 10 ** 12) | st.integers(-2000, 2000)
+
+
+def assert_matches_scalar_oracle(r, x0, x1, y0, y1, squares):
+    tiling = build_tiling(r, x0, x1, y0, y1)
+    for a, b in squares:
+        assert tiling.tile_bits(a, b) == tile_bits_at(r, a, b), (a, b)
+    for y in {y0, y1}:
+        assert (h_edges_count(r, y, x0, x1).tolist()
+                == [_h_count_scalar(r, y, a) for a in range(x0, x1)]), y
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=even_rational(45), x0=ORIGINS, y0=ORIGINS, data=st.data())
+def test_wide_rectangles_match_scalar_oracle(r, x0, y0, data):
+    # up to omega^2 + 2 columns and two periods high: most read the period table
+    om = r.omega
+    w = data.draw(st.integers(1, om * om + 2), label="width")
+    h = data.draw(st.integers(1, 2 * om + 1), label="height")
+    squares = data.draw(st.lists(st.tuples(st.integers(x0, x0 + w - 1),
+                                           st.integers(y0, y0 + h - 1)),
+                                 min_size=1, max_size=30), label="squares")
+    assert_matches_scalar_oracle(r, x0, x0 + w, y0, y0 + h, squares)
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=even_rational(10 ** 6), x0=ORIGINS, y0=ORIGINS,
+       w=st.integers(0, 6), h=st.integers(0, 6))
+def test_thin_rectangles_match_scalar_oracle(r, x0, y0, w, h):
+    # thin rectangles at large omega evaluate the light test directly
+    squares = [(a, b) for a in range(x0, x0 + w) for b in range(y0, y0 + h)]
+    assert_matches_scalar_oracle(r, x0, x0 + w, y0, y0 + h, squares)
