@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import cap_scaled, is_light_value, mass_scaled
 from .numtheory import (EvenRational, core_predecessor, even_predecessor,
-                        kappa, tune)
+                        kappa, pair_kind, tune)
 from .tiling import build_tiling
 
 
@@ -279,10 +279,9 @@ def classify_case(r_prev: EvenRational, r: EvenRational) -> int:
     """Case 1..4 of the even-predecessor bound analysis."""
     if even_predecessor(r) != r_prev or kappa(r).kappa != 0:
         raise ValueError(f"{r_prev} is not the even predecessor of {r} with kappa=0")
-    strong = 2 * r_prev.omega < r.omega
     tp, omp = tune(r_prev).tau, r_prev.omega
     narrow = tp <= omp - 2 * tp  # width branch: W' = tau'
-    if not strong:
+    if pair_kind(r) == "weak":
         return 1 if narrow else 2
     return 3 if narrow else 4
 
@@ -291,8 +290,7 @@ def sigma_dimensions(r_prev: EvenRational, r: EvenRational) -> tuple[int, int]:
     """(W', H') of the comparison rectangle for an even-predecessor pair."""
     tp, omp = tune(r_prev).tau, r_prev.omega
     w = min(tp, omp - 2 * tp)
-    strong = 2 * omp < r.omega
-    h = omp if strong else omp - w
+    h = omp if pair_kind(r) == "strong" else omp - w
     return w, h
 
 

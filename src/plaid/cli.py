@@ -13,53 +13,24 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import gcd
-
-import numpy as np
 
 from . import __version__
+from .alignment import classify_case, matching, psi_xi_audit
+from .checks import CHECKS, even_rationals, run_sweep
 from .exactnum import QuadraticTarget, parse_irrational
 from .numtheory import (EvenRational, approximating_sequence, diophantine_check,
-                        kappa, predecessor_chain, tune, verify_omnibus)
-from .numtheory import main_identity as nt_main_identity
+                        kappa, pair_kind, predecessor_chain, tune, verify_omnibus)
 from .grid import cap_scaled, mass_scaled
-from .tiling import (CoherenceError, _edge_counts, big_polygon, build_tiling,
-                     first_block_tiling, trace_polygons)
+from .tiling import big_polygon, build_tiling, trace_polygons
 from . import copying, pet, svgout
-
-
-def even_rationals(max_omega: int, start: int = 3, regime: str = "all"):
-    """Even rationals with omega <= max_omega, optionally filtered by regime.
-
-    The regime classifies the parameter itself: core when kappa >= 1, else
-    strong or weak by the tune against omega/4.
-    """
-    for om in range(start, max_omega + 1, 2):
-        for p in range(1, om // 2 + 1):
-            if gcd(p, om) == 1:
-                r = EvenRational(p, om - p)
-                if regime != "all" and _regime(r) != regime:
-                    continue
-                yield r
-
-
-def _regime(r: EvenRational) -> str:
-    if kappa(r).kappa >= 1:
-        return "core"
-    return "strong" if 4 * tune(r).tau > r.omega else "weak"
 
 
 def write_json_atomic(path: str, payload: dict):
     payload = {"tool": "plaid", "version": __version__,
                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                **payload}
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, json.dumps(payload, indent=2, default=str) + "\n")
 
 
 def write_text_atomic(path: str, text: str):
@@ -69,144 +40,14 @@ def write_text_atomic(path: str, text: str):
     os.replace(tmp, path)
 
 
-def parse_param_or_exit(text: str) -> EvenRational:
-    try:
-        return EvenRational.parse(text)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-# ---------------------------------------------------------------------------
-# Per-parameter checks (top-level functions so sweeps can fork them)
-# ---------------------------------------------------------------------------
-
-def check_coherence(r: EvenRational) -> tuple[bool, str]:
-    try:
-        build_tiling(r, 0, r.omega ** 2, 0, r.omega)
-        return True, ""
-    except AssertionError as exc:
-        return False, str(exc)
-
-
-def check_hier(r: EvenRational) -> tuple[bool, str]:
-    om = r.omega
-    try:
-        hcount, vcount = _edge_counts(r, 0, om * om, 0, om)
-    except CoherenceError as exc:
-        return False, str(exc)
-    cap = np.abs([cap_scaled(r, n) for n in range(om)])
-    # vertical lines: one vertical period suffices
-    per_line = vcount[:-1].sum(axis=1)
-    for x0 in np.flatnonzero(per_line != np.tile(cap, om))[:1]:
-        return False, (f"V line x={x0} carries {per_line[x0]} light points, "
-                       f"capacity {cap[x0 % om]}")
-    # horizontal lines: every block window, corners once, midpoints twice
-    per_block = hcount[:, :-1].reshape(om, om, om).sum(axis=1).T
-    for y0, blk in np.argwhere(per_block != cap[:, None])[:1]:
-        return False, (f"H line y={y0} block {blk} carries "
-                       f"{per_block[y0, blk]} light points, capacity {cap[y0]}")
-    return True, ""
-
-
-def check_first(r: EvenRational) -> tuple[bool, str]:
-    try:
-        big_polygon(r)
-        return True, ""
-    except AssertionError as exc:
-        return False, str(exc)
-
-
-def check_omnibus(r: EvenRational) -> tuple[bool, str]:
-    if r.p <= 1:
-        return True, "skipped (p=1)"
-    rep = verify_omnibus(r)
-    bad = [k for k, v in rep.statements.items() if not v]
-    return (not bad), ",".join(bad)
-
-
-def check_main(r: EvenRational) -> tuple[bool, str]:
-    if kappa(r).kappa == 0 or r.p == 1:
-        return True, "out of scope (kappa=0 or p=1)"
-    if not nt_main_identity(r):
-        return False, "height/width identity failed"
-    th = tune(copying.core_predecessor(r)).tau
-    c = abs(cap_scaled(r, th))
-    if c != 4 * kappa(r).kappa + 2:
-        return False, f"barrier capacity {c} != 4*kappa+2"
-    return True, ""
-
-
-def check_box(r: EvenRational) -> tuple[bool, str]:
-    rep = copying.verify_box_lemma(r)
-    return rep.ok, "" if rep.ok else f"crossings={rep.crossings}"
-
-
-def check_copy(r: EvenRational) -> tuple[bool, str]:
-    if r.p == 1:
-        return True, "skipped (p=1 descends by the unit rule)"
-    if kappa(r).kappa >= 1:
-        ok = copying.verify_core_copy(r)
-        return ok, "" if ok else "core copy failed"
-    ok = copying.verify_weak_strong_copy(r)
-    return ok, "" if ok else "weak/strong copy failed"
-
-
-def check_copytheorem(r: EvenRational) -> tuple[bool, str]:
-    chain = predecessor_chain(r)
-    terms = chain.approximating_terms()
-    for r0, r1 in zip(terms, terms[1:]):
-        if r0.is_zero:
-            continue
-        rep = copying.verify_copy_theorem(r0, r1)
-        if not rep.ok:
-            return False, f"pair {r0}->{r1}"
-    return True, ""
-
-
-def check_pet(r: EvenRational) -> tuple[bool, str]:
-    tiling = first_block_tiling(r)
-    loops = trace_polygons(tiling)
-    covered = set()
-    for loop in loops:
-        res = pet.orbit(r, loop.squares[0])
-        if not res.closed or res.period != len(loop):
-            return False, f"orbit at {loop.squares[0]} period {res.period} != {len(loop)}"
-        if set(res.squares()) != loop.center_set():
-            return False, f"orbit at {loop.squares[0]} wanders off its loop"
-        covered |= loop.center_set()
-    if len(covered) != int(np.count_nonzero(tiling.tiles)):
-        return False, "loops do not partition the connector squares"
-    empties = [(a, b) for a in range(r.omega) for b in range(r.omega)
-               if not tiling.tile_bits(a, b)]
-    for sq in empties[:3]:
-        res = pet.orbit(r, sq)
-        if not (res.closed and res.period == 0):
-            return False, f"empty square {sq} is not a fixed point"
-    return True, ""
-
-
-CHECKS = {
-    "coherence": check_coherence,
-    "hier": check_hier,
-    "first": check_first,
-    "omnibus": check_omnibus,
-    "main": check_main,
-    "box": check_box,
-    "copy": check_copy,
-    "copytheorem": check_copytheorem,
-    "pet": check_pet,
-}
-
-
-def _run_checks_one(args):
-    (p, q), names = args
-    r = EvenRational(p, q)
-    out = {}
-    for name in names:
-        ok, detail = CHECKS[name](r)
-        out[name] = {"ok": ok, **({"detail": detail} if detail else {})}
-    return (p, q), out
+def report(args, payload: dict, failures: list) -> int:
+    """Write the report to --json or print it; exit code 1 on any failure."""
+    payload["failures"] = failures
+    if args.json:
+        write_json_atomic(args.json, payload)
+    else:
+        print(json.dumps(payload, indent=2, default=str))
+    return 0 if not failures else 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +62,7 @@ def cmd_chain(args) -> int:
         if not args.param:
             print("error: chain needs a parameter or --irrational", file=sys.stderr)
             return 2
-        chain = predecessor_chain(parse_param_or_exit(args.param))
+        chain = predecessor_chain(EvenRational.parse(args.param))
     terms = []
     for i, term in enumerate(chain.terms):
         row = {"p": term.p, "q": term.q}
@@ -253,16 +94,11 @@ def cmd_chain(args) -> int:
         if not dio.all_ok:
             failures.append("diophantine")
     payload["approximating"] = [str(t) for t in chain.approximating_terms()]
-    payload["failures"] = failures
-    if args.json:
-        write_json_atomic(args.json, payload)
-    else:
-        print(json.dumps(payload, indent=2, default=str))
-    return 0 if not failures else 1
+    return report(args, payload, failures)
 
 
 def cmd_lines(args) -> int:
-    r = parse_param_or_exit(args.param)
+    r = EvenRational.parse(args.param)
     caps = [{"n": n, "capacity": abs(cap_scaled(r, n)),
              "sign": (cap_scaled(r, n) > 0) - (cap_scaled(r, n) < 0)}
             for n in range(r.omega)]
@@ -283,7 +119,7 @@ def cmd_lines(args) -> int:
 
 
 def cmd_tile(args) -> int:
-    r = parse_param_or_exit(args.param)
+    r = EvenRational.parse(args.param)
     om = r.omega
     block = args.block
     tiling = build_tiling(r, block * om, (block + 1) * om, 0, om)
@@ -311,9 +147,8 @@ def cmd_tile(args) -> int:
 
 
 def cmd_polygon(args) -> int:
-    r = parse_param_or_exit(args.param)
+    r = EvenRational.parse(args.param)
     gamma = big_polygon(r)
-    lo, hi = gamma.x_extent()
     payload = {
         "param": str(r),
         "length": len(gamma),
@@ -331,16 +166,11 @@ def cmd_polygon(args) -> int:
 
 
 def cmd_align(args) -> int:
-    from .alignment import matching, psi_xi_audit
-    r_small = parse_param_or_exit(args.small)
-    r_big = parse_param_or_exit(args.big)
+    r_small = EvenRational.parse(args.small)
+    r_big = EvenRational.parse(args.big)
     k = kappa(r_big).kappa
     failures = []
-    if args.core or k >= 1:
-        if copying.core_predecessor(r_big) != r_small:
-            print(f"error: {r_small} is not the core predecessor of {r_big}",
-                  file=sys.stderr)
-            return 2
+    if k >= 1:
         pair = copying.sigma_core(r_small, r_big)
         th = tune(r_small).tau
         bound = Fraction(4 * k * th, r_big.omega * r_small.omega)
@@ -349,11 +179,6 @@ def cmd_align(args) -> int:
         case = "core"
         audit = None
     else:
-        from .alignment import classify_case
-        if copying.even_predecessor(r_big) != r_small:
-            print(f"error: {r_small} is not the even predecessor of {r_big}",
-                  file=sys.stderr)
-            return 2
         pair = copying.sigma_weak_strong(r_small, r_big)
         rep = matching(r_small, r_big, pair)
         case = f"case-{classify_case(r_small, r_big)}"
@@ -376,74 +201,44 @@ def cmd_align(args) -> int:
             failures.append("audit")
     if not (rep.predicates_hold and rep.tiles_equal and rep.consistent):
         failures.append("matching")
-    payload["failures"] = failures
-    if args.json:
-        write_json_atomic(args.json, payload)
-    else:
-        print(json.dumps(payload, indent=2, default=str))
-    return 0 if not failures else 1
+    return report(args, payload, failures)
 
 
 def cmd_verify(args) -> int:
     failures = []
     payload = {"what": args.what}
-    if args.sweep:
-        params = list(even_rationals(args.sweep))
-        name = {"box": "box", "copy": "copy", "tree": "copytheorem"}[args.what]
-        results = run_sweep(params, [name], workers=args.workers)
-        payload["sweep"] = {"max_omega": args.sweep, "check": name}
-        payload["results"] = results["results"]
-        failures = results["failures"]
-    else:
-        r = parse_param_or_exit(args.param)
-        if args.what == "box":
-            rep = copying.verify_box_lemma(r)
-            payload.update(param=str(r), width=rep.width, crossings=rep.crossings,
-                           single_arc=rep.single_arc, barrier=rep.barrier,
-                           ok=rep.ok)
-            if not rep.ok:
-                failures.append(str(r))
-        elif args.what == "copy":
-            k = kappa(r).kappa
-            if k >= 1:
-                ok = copying.verify_core_copy(r)
-                payload.update(param=str(r), regime="core", ok=ok)
-            else:
-                ok = copying.verify_weak_strong_copy(r)
-                strong = 2 * copying.even_predecessor(r).omega < r.omega
-                payload.update(param=str(r),
-                               regime="strong" if strong else "weak", ok=ok)
-            if not ok:
-                failures.append(str(r))
-            if args.svg and kappa(r).kappa == 0:
-                prev = copying.even_predecessor(r)
-                rep = copying.verify_copy_theorem(prev, r)
-                if rep.translation is not None:
-                    write_text_atomic(args.svg, svgout.render_copy_overlay(
-                        prev, r, rep.translation))
-        elif args.what == "tree":
-            chain = predecessor_chain(r)
-            terms = chain.approximating_terms()
-            if args.depth is not None and args.depth < 1:
-                raise ValueError(f"--depth must be at least 1, got {args.depth}")
-            real = copying.realize_tree(terms, min(args.depth or len(terms), len(terms)))
-            payload.update(param=str(r), depth=real.depth,
-                           terms=[str(t) for t in real.terms],
-                           translations=real.translations,
-                           branches=real.branches, etas=real.etas,
-                           vertices=len(real.boxes), ok=True)
-    payload["failures"] = failures
-    if args.json:
-        write_json_atomic(args.json, payload)
-    else:
-        print(json.dumps(payload, indent=2, default=str))
-    return 0 if not failures else 1
+    r = EvenRational.parse(args.param)
+    if args.what == "box":
+        rep = copying.verify_box_lemma(r)
+        payload.update(param=str(r), width=rep.width, crossings=rep.crossings,
+                       single_arc=rep.single_arc, barrier=rep.barrier,
+                       ok=rep.ok)
+        if not rep.ok:
+            failures.append(str(r))
+    elif args.what == "copy":
+        ok, detail = CHECKS["copy"](r)
+        payload.update(param=str(r), regime=pair_kind(r), ok=ok,
+                       **({"detail": detail} if detail else {}))
+        if not ok:
+            failures.append(str(r))
+    elif args.what == "tree":
+        chain = predecessor_chain(r)
+        terms = chain.approximating_terms()
+        if args.depth is not None and args.depth < 1:
+            raise ValueError(f"--depth must be at least 1, got {args.depth}")
+        real = copying.realize_tree(terms, min(args.depth or len(terms), len(terms)))
+        payload.update(param=str(r), depth=real.depth,
+                       terms=[str(t) for t in real.terms],
+                       translations=real.translations,
+                       branches=real.branches, etas=real.etas,
+                       vertices=len(real.boxes), ok=True)
+    return report(args, payload, failures)
 
 
 def cmd_pet(args) -> int:
     failures = []
     if args.what == "orbit":
-        r = parse_param_or_exit(args.param)
+        r = EvenRational.parse(args.param)
         square = tuple(int(t) for t in args.square.split(","))
         res = pet.orbit(r, square, max_steps=args.max_steps)
         payload = {"param": str(r), "start": list(res.start),
@@ -454,7 +249,7 @@ def cmd_pet(args) -> int:
         if res.truncated:
             failures.append("truncated")
     elif args.what == "fiber":
-        r = parse_param_or_exit(args.param)
+        r = EvenRational.parse(args.param)
         t_value = _parse_t_value(args.t, r)
         rep = pet.reconstruct_fiber_grid(r, t_value, min_samples=args.samples)
         payload = {"param": str(r), "t": str(rep.t_value),
@@ -485,12 +280,7 @@ def cmd_pet(args) -> int:
                    "cluster_size": len(rep.cluster)}
         if rep.stable_from is None:
             failures.append("no stabilization in range")
-    payload["failures"] = failures
-    if args.json:
-        write_json_atomic(args.json, payload)
-    else:
-        print(json.dumps(payload, indent=2, default=str))
-    return 0 if not failures else 1
+    return report(args, payload, failures)
 
 
 def _parse_t_value(text: str, r: EvenRational):
@@ -505,48 +295,15 @@ def _parse_t_value(text: str, r: EvenRational):
 
 
 def cmd_render(args) -> int:
-    if args.what == "tile":
-        r = parse_param_or_exit(args.param)
-        om = r.omega
-        tiling = build_tiling(r, args.block * om, (args.block + 1) * om, 0, om)
-        svg = svgout.render_tiling(tiling, scale=args.scale)
-    elif args.what == "copy":
-        r0 = parse_param_or_exit(args.param)
-        r1 = parse_param_or_exit(args.param2)
-        rep = copying.verify_copy_theorem(r0, r1)
-        if rep.translation is None:
-            print("error: no copy translation found", file=sys.stderr)
-            return 1
-        svg = svgout.render_copy_overlay(r0, r1, rep.translation, scale=args.scale)
-    else:
-        print(f"error: unknown render target {args.what}", file=sys.stderr)
-        return 2
-    write_text_atomic(args.svg, svg)
+    r0 = EvenRational.parse(args.param)
+    r1 = EvenRational.parse(args.param2)
+    rep = copying.verify_copy_theorem(r0, r1)
+    if rep.translation is None:
+        print("error: no copy translation found", file=sys.stderr)
+        return 1
+    write_text_atomic(args.svg, svgout.render_copy_overlay(
+        r0, r1, rep.translation, scale=args.scale))
     return 0
-
-
-def run_sweep(params, checks, workers=None) -> dict:
-    jobs = [((r.p, r.q), checks) for r in params]
-    if workers is None:
-        workers = int(os.environ.get("PLAID_WORKERS", "0")) or None
-    results = {}
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, out in pool.map(_run_checks_one, jobs, chunksize=4):
-                results[key] = out
-    else:
-        for job in jobs:
-            key, out = _run_checks_one(job)
-            results[key] = out
-    rows, failures = [], []
-    for (p, q) in sorted(results, key=lambda t: (t[0] + t[1], t[0])):
-        row = {"param": f"{p}/{q}", **results[(p, q)]}
-        rows.append(row)
-        for name, res in results[(p, q)].items():
-            if not res["ok"]:
-                failures.append({"param": f"{p}/{q}", "check": name,
-                                 "detail": res.get("detail", "")})
-    return {"results": rows, "failures": failures}
 
 
 def cmd_sweep(args) -> int:
@@ -574,8 +331,6 @@ def cmd_sweep(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="plaid", description=__doc__)
-    ap.add_argument("--workers", type=int, default=None,
-                    help="worker processes for sweeps (default: PLAID_WORKERS)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, svg=True):
@@ -611,16 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="alignment predicates for a pair")
     p.add_argument("small")
     p.add_argument("big")
-    p.add_argument("--core", action="store_true")
     common(p, svg=False)
     p.set_defaults(fn=cmd_align)
 
     p = sub.add_parser("verify", help="box / copy / tree verification")
     p.add_argument("what", choices=("box", "copy", "tree"))
-    p.add_argument("param", nargs="?")
-    p.add_argument("--sweep", type=int, metavar="MAX_OMEGA")
+    p.add_argument("param")
     p.add_argument("--depth", type=int)
-    common(p)
+    common(p, svg=False)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("pet", help="classifying-space dynamics")
@@ -634,15 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", default="0")
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0, help="reserved for sampling ops")
     common(p)
     p.set_defaults(fn=cmd_pet)
 
     p = sub.add_parser("render", help="SVG figures")
-    p.add_argument("what", choices=("tile", "copy"))
+    p.add_argument("what", choices=("copy",))
     p.add_argument("param")
-    p.add_argument("param2", nargs="?")
-    p.add_argument("--block", type=int, default=0)
+    p.add_argument("param2")
     p.add_argument("--scale", type=int, default=16)
     p.add_argument("--svg", required=True)
     p.set_defaults(fn=cmd_render)
@@ -652,6 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="coherence,box")
     p.add_argument("--filter", default="all",
                    choices=("all", "weak", "strong", "core"))
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: PLAID_WORKERS)")
     common(p, svg=False)
     p.set_defaults(fn=cmd_sweep)
     return ap
@@ -659,13 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "verify" and not args.sweep and not args.param:
-        print("error: verify needs a parameter or --sweep", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import numpy as np
 from .alignment import Rect, RectanglePair
 from .grid import cap_scaled, mass_scaled
 from .numtheory import (EvenRational, core_predecessor, even_predecessor,
-                        kappa, predecessor_chain, tune)
+                        kappa, pair_kind, predecessor_chain, tune)
 from .tiling import (PlaidPolygon, big_polygon, build_tiling, tile_bits_at)
 
 
@@ -49,7 +49,7 @@ def sigma_weak_strong(r_prev: EvenRational, r: EvenRational) -> RectanglePair:
     if even_predecessor(r) != r_prev:
         raise ValueError(f"{r_prev} is not the even predecessor of {r}")
     rp = box_r(r_prev)
-    if 2 * r_prev.omega < r.omega:  # strong
+    if pair_kind(r) == "strong":
         sigma_prime = rp
     else:  # weak: clipped below the top low-capacity horizontal line
         tp, omp = tune(r_prev).tau, r_prev.omega
@@ -67,8 +67,9 @@ def sigma_core(r_hat: EvenRational, r: EvenRational) -> RectanglePair:
     xi = (r.omega - r_hat.omega) // 2
     pair = RectanglePair(box_r(r_hat), xi)
     # the translation carries the low-mass anchor points onto each other
-    assert tune(r_hat).tau + xi == tune(r).tau
-    assert (r_hat.omega - tune(r_hat).tau) + xi == r.omega - tune(r).tau
+    if (tune(r_hat).tau + xi != tune(r).tau
+            or (r_hat.omega - tune(r_hat).tau) + xi != r.omega - tune(r).tau):
+        raise AssertionError(f"the shift by {xi} misplaces the anchors of {r_hat}")
     return pair
 
 
@@ -90,11 +91,6 @@ def verify_core_copy(r: EvenRational) -> bool:
     small = build_tiling(r_hat, sp.x0, sp.x1, sp.y0, sp.y1)
     big = build_tiling(r, s.x0, s.x1, s.y0, s.y1)
     return bool(np.array_equal(small.tiles, big.tiles))
-
-
-def main_identity(r: EvenRational) -> bool:
-    from .numtheory import main_identity as _mi
-    return _mi(r)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +118,8 @@ def verify_box_lemma(r: EvenRational, gamma: PlaidPolygon | None = None) -> BoxR
         gamma = big_polygon(r)
     box = box_r(r)
     w = box.x1
-    assert w == box_width_by_scan(r)
+    if w != box_width_by_scan(r):
+        raise AssertionError(f"box width {w} of {r} disagrees with the scan")
     crossings = gamma.crossings_of_vertical(w)
     inside = [a < w for a, _ in gamma.squares]
     runs = sum(1 for i in range(len(inside))
@@ -293,7 +290,6 @@ def _linematch_assertions(chain: list[EvenRational]) -> bool:
     every later block.  Chains of other shapes (possible for ad-hoc pairs)
     are not constrained.
     """
-    from .numtheory import pair_kind
     if len(chain) < 2:
         return True
     kinds = [pair_kind(s) for s in chain[1:]]
@@ -311,7 +307,7 @@ def _linematch_assertions(chain: list[EvenRational]) -> bool:
     if kinds[0] == "strong":
         if any(k != "weak" for k in kinds[1:]):
             ok = False
-        if 2 * chain[0].omega > chain[1].omega or th[0] != bh[1]:
+        if th[0] != bh[1]:
             ok = False
         if any(b != bh[1] for b in bh[2:]):
             ok = False  # weak links keep the bottom capacity-2 line
@@ -414,9 +410,10 @@ def realize_tree(terms: list[EvenRational], depth: int,
     for r0, r1 in zip(terms, terms[1:]):
         branch, t = observed_branch(r0, r1)
         d = r1.omega - r0.omega - 2 * t
-        assert d in (etas_pair := {eta(r1) - eta(r0), eta(r1) + eta(r0)}), \
-            f"translation length {d} is not eta_k -+ eta_(k-1) {etas_pair}"
-        assert d > 0
+        etas_pair = {eta(r1) - eta(r0), eta(r1) + eta(r0)}
+        if d not in etas_pair or d <= 0:
+            raise AssertionError(
+                f"translation length {d} is not a positive eta_k -+ eta_(k-1) {etas_pair}")
         branches.append(branch)
         ds.append(d)
         shifts.append(t)

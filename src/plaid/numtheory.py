@@ -102,7 +102,8 @@ def theta(r: EvenRational) -> int:
     """The integer with 2*p*tau = theta*omega + sign; always odd."""
     t = tune(r)
     th, rem = divmod(2 * r.p * t.tau - t.sign_choice, r.omega)
-    assert rem == 0 and th % 2 == 1
+    if rem != 0 or th % 2 != 1:
+        raise AssertionError(f"theta of {r} is not an odd integer")
     return th
 
 
@@ -116,8 +117,8 @@ def even_predecessor(r: EvenRational) -> EvenRational:
     th = theta(r)
     t = tune(r).tau
     prev = EvenRational(r.p - th, r.q - (2 * t - th))
-    assert prev.omega == r.omega - 2 * t
-    assert abs(prev.p * r.q - prev.q * r.p) == 1
+    if prev.omega != r.omega - 2 * t or abs(prev.p * r.q - prev.q * r.p) != 1:
+        raise AssertionError(f"{prev} fails the even-predecessor identities of {r}")
     return prev
 
 
@@ -196,11 +197,12 @@ def predecessor_chain(r: EvenRational) -> PredecessorChain:
     terms = [r]
     while not terms[-1].is_zero:
         terms.append(predecessor(terms[-1]))
-        assert len(terms) <= r.omega + 1, "descent failed to terminate"
+        if len(terms) > r.omega + 1:
+            raise AssertionError("descent failed to terminate")
     terms.reverse()
     kinds = tuple(pair_kind(t) for t in terms[1:])
-    assert all(not (a == b == "core") for a, b in zip(kinds, kinds[1:])), \
-        "two consecutive core steps"
+    if any(a == b == "core" for a, b in zip(kinds, kinds[1:])):
+        raise AssertionError("two consecutive core steps")
     return PredecessorChain(tuple(terms), kinds)
 
 
@@ -241,7 +243,7 @@ def verify_omnibus(r: EvenRational) -> OmnibusReport:
     rep.statements["s4"] = kappa(hat).kappa == 0
     rep.statements["s5"] = om - 2 * t == omh - 2 * th
     if k == 0:
-        rep.statements["s6"] = (tp == t) if 4 * t < om else (tp == omp - t)
+        rep.statements["s6"] = (tp == t) if pair_kind(r) == "weak" else (tp == omp - t)
         rep.statements["s7"] = True
     else:
         rep.statements["s6"] = True

@@ -184,7 +184,8 @@ def orbit(r: EvenRational, c0: tuple[int, int], max_steps: int | None = None,
     if bits == 0:
         # empty tile: the identity map fixes the point
         pt = classify(P, Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2))
-        assert follow("empty", pt) == pt
+        if follow("empty", pt) != pt:
+            raise AssertionError(f"the empty tile at {c0} moves its point")
         return OrbitResult(c0, [], True, 0)
     direction = _exits(bits)[0]
     if max_steps is None:

@@ -8,8 +8,8 @@ inline, or -v for the per-test verdicts.
 import random
 from fractions import Fraction
 
-from plaid.cli import (check_coherence, check_copy, check_hier,
-                       check_main, check_omnibus, check_pet, even_rationals)
+from plaid.checks import (check_coherence, check_copy, check_hier,
+                          check_main, check_omnibus, check_pet, even_rationals)
 from plaid.copying import (eta, observed_branch, verify_box_lemma,
                            verify_copy_theorem)
 from plaid.exactnum import QuadRat, QuadraticTarget, mod_interval

@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plaid import cli
+from plaid import checks, cli, copying
 from plaid.cli import main
 from plaid.grid import cap_scaled, is_light_value, mass_scaled
 from plaid.numtheory import EvenRational
@@ -63,8 +65,8 @@ def test_check_hier_failure_detail(monkeypatch, which, edge, detail):
         counts = _edge_counts(*args)
         counts[which][edge] += 1
         return counts
-    monkeypatch.setattr(cli, "_edge_counts", one_extra_light_point)
-    assert cli.check_hier(EvenRational(2, 5)) == (False, detail)
+    monkeypatch.setattr(checks, "_edge_counts", one_extra_light_point)
+    assert checks.check_hier(EvenRational(2, 5)) == (False, detail)
 
 
 def test_verify_copy_core_pass(tmp_path, capsys):
@@ -72,6 +74,40 @@ def test_verify_copy_core_pass(tmp_path, capsys):
     assert run(["verify", "copy", "7/18", "--json", str(out)]) == 0
     data = load_stripped(out)
     assert data["regime"] == "core" and data["ok"] is True
+
+
+def test_verify_copy_unit_agrees_with_sweep(tmp_path):
+    out = tmp_path / "copy.json"
+    assert run(["verify", "copy", "1/2", "--json", str(out)]) == 0
+    data = load_stripped(out)
+    assert data["regime"] == "unit" and data["ok"] is True
+    assert data["detail"] == "skipped (p=1 descends by the unit rule)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["align", "3/8", "7/18", "--core"],
+    ["pet", "orbit", "5/12", "--seed", "1"],
+    ["verify", "box", "--sweep", "9"],
+    ["render", "tile", "5/18", "--svg", "x.svg"],
+])
+def test_removed_options_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [ln for ln in block.split("```", 1)[0].splitlines()
+             if ln.startswith("plaid ")]
+    assert len(lines) >= 15
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert run(argv) == 0, line
 
 
 def test_chain_json_schema(tmp_path):
@@ -120,8 +156,8 @@ def test_json_deterministic_modulo_timestamp(tmp_path):
 
 def test_svg_deterministic(tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    assert run(["render", "tile", "5/18", "--svg", str(a)]) == 0
-    assert run(["render", "tile", "5/18", "--svg", str(b)]) == 0
+    assert run(["tile", "5/18", "--svg", str(a)]) == 0
+    assert run(["tile", "5/18", "--svg", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().startswith("<svg")
 
@@ -175,11 +211,30 @@ def test_sweep_regime_filter(tmp_path):
 
 def test_sweep_worker_independence(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(["--workers", "1", "sweep", "--max-omega", "13",
+    run(["sweep", "--workers", "1", "--max-omega", "13",
          "--checks", "box", "--json", str(a)])
-    run(["--workers", "3", "sweep", "--max-omega", "13",
+    run(["sweep", "--workers", "3", "--max-omega", "13",
          "--checks", "box", "--json", str(b)])
     assert load_stripped(a) == load_stripped(b)
+
+
+def test_sweep_records_a_raising_check_and_goes_on(tmp_path, monkeypatch):
+    real = copying.verify_box_lemma
+
+    def forced(r):
+        if r == EvenRational(2, 5):
+            raise AssertionError("forced")
+        return real(r)
+    monkeypatch.setattr(copying, "verify_box_lemma", forced)
+    res = checks.run_sweep([EvenRational(1, 2), EvenRational(2, 5)], ["box"],
+                           workers=1)
+    assert res["results"][0] == {"param": "1/2", "box": {"ok": True}}
+    assert res["failures"] == [{"param": "2/5", "check": "box",
+                                "detail": "AssertionError: forced"}]
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--max-omega", "7", "--checks", "box",
+                "--workers", "1", "--json", str(out)]) == 1
+    assert load_stripped(out)["failures"] == res["failures"]
 
 
 def test_align_cli(tmp_path):
@@ -187,8 +242,8 @@ def test_align_cli(tmp_path):
     assert run(["align", "2/5", "5/12", "--json", str(out)]) == 0
     data = load_stripped(out)
     assert data["tiles_equal"] and data["matching"]
-    assert run(["align", "3/8", "7/18", "--core", "--json", str(out)]) == 0
-    assert run(["align", "2/5", "7/18", "--core"]) == 2  # wrong predecessor
+    assert run(["align", "3/8", "7/18", "--json", str(out)]) == 0
+    assert run(["align", "2/5", "7/18"]) == 2  # wrong predecessor
 
 
 def test_pet_cli(tmp_path):

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import plaid
 from plaid.copying import (box_r, box_width_by_scan, capacity_two_lines,
                            connecting_chain, eta, observed_branch, omni2_check,
                            realize_tree, sigma_core, sigma_weak_strong,
@@ -31,6 +36,26 @@ def test_box_r_examples():
 def test_box_width_matches_capacity_scan():
     for r in even_rationals(100):
         assert box_r(r).x1 == box_width_by_scan(r)
+
+
+def test_box_invariant_survives_python_O():
+    # the box-width cross-check is a model invariant, so it must raise even
+    # when the interpreter strips assert statements
+    code = (
+        "from plaid import copying\n"
+        "from plaid.numtheory import EvenRational\n"
+        "copying.box_width_by_scan = lambda r: -1\n"
+        "try:\n"
+        "    copying.verify_box_lemma(EvenRational(7, 18))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('verify_box_lemma accepted a wrong box width')\n")
+    src = str(Path(plaid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sigma_weak_strong_examples():
