@@ -237,8 +237,12 @@ def cmd_verify(args) -> int:
 
 def cmd_pet(args) -> int:
     failures = []
-    if args.what == "orbit":
+    if args.what != "limit":
+        if not args.param:
+            print(f"error: pet {args.what} needs a parameter", file=sys.stderr)
+            return 2
         r = EvenRational.parse(args.param)
+    if args.what == "orbit":
         square = tuple(int(t) for t in args.square.split(","))
         res = pet.orbit(r, square, max_steps=args.max_steps)
         payload = {"param": str(r), "start": list(res.start),
@@ -249,7 +253,6 @@ def cmd_pet(args) -> int:
         if res.truncated:
             failures.append("truncated")
     elif args.what == "fiber":
-        r = EvenRational.parse(args.param)
         t_value = _parse_t_value(args.t, r)
         rep = pet.reconstruct_fiber_grid(r, t_value, min_samples=args.samples)
         payload = {"param": str(r), "t": str(rep.t_value),

@@ -19,7 +19,8 @@ from .alignment import Rect, RectanglePair
 from .grid import cap_scaled, mass_scaled
 from .numtheory import (EvenRational, core_predecessor, even_predecessor,
                         kappa, pair_kind, predecessor_chain, tune)
-from .tiling import (PlaidPolygon, big_polygon, build_tiling, tile_bits_at)
+from .tiling import (PlaidPolygon, big_polygon, build_tiling, tile_bits_at,
+                     v_edges_good)
 
 
 def box_r(r: EvenRational) -> Rect:
@@ -133,8 +134,7 @@ def verify_box_lemma(r: EvenRational, gamma: PlaidPolygon | None = None) -> BoxR
         bh, tH = capacity_two_lines(r)
         # a crossing needs a good edge, so checking edge goodness covers
         # every plaid polygon at once
-        from .tiling import _v_good_scalar
-        uncrossed = not any(_v_good_scalar(r, th, b) for b in range(bh, tH))
+        uncrossed = not v_edges_good(r, th, bh, tH).any()
         rep.barrier = {
             "x": th,
             "capacity": abs(cap_scaled(r, th)),

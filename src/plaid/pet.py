@@ -18,11 +18,7 @@ from fractions import Fraction
 
 from .exactnum import QuadRat, QuadraticTarget, floor_exact, mod_interval
 from .numtheory import EvenRational, tune
-from .tiling import TILE_NAMES, tile_bits_at
-from .tiling import N as _N, E as _E, S as _S, W as _W
-
-_DIR_STEP = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
-_BIT_OF = {"N": _N, "E": _E, "S": _S, "W": _W}
+from .tiling import EDGE_NAMES, TILE_NAMES, tile_bits_at, walk
 
 
 @dataclass(frozen=True)
@@ -34,14 +30,6 @@ class PetPoint:
 
     def coords(self):
         return (self.T, self.U1, self.U2)
-
-    def __eq__(self, other):
-        return (isinstance(other, PetPoint) and self.P == other.P
-                and self.T == other.T and self.U1 == other.U1
-                and self.U2 == other.U2)
-
-    def __hash__(self):
-        return hash((str(self.P), str(self.T), str(self.U1), str(self.U2)))
 
 
 def reduce_point(P, T, U1, U2) -> PetPoint:
@@ -60,8 +48,7 @@ def reduce_point(P, T, U1, U2) -> PetPoint:
 
 def classify(P, x, y) -> PetPoint:
     """The classifying map (P, 2Px + 2y, 2Px, 2Px + 2Py) mod the lattice."""
-    two_px = 2 * P * x
-    return reduce_point(P, two_px + 2 * y, two_px, two_px + 2 * P * y)
+    return reduce_point(P, *classify_raw(P, x, y))
 
 
 def classify_raw(P, x, y):
@@ -160,56 +147,43 @@ class OrbitResult:
         return [self.start] + [s["square"] for s in self.steps]
 
 
-_EXIT_ORDER = ("N", "E", "S", "W")
-
-
-def _exits(bits: int) -> list[str]:
-    return [d for d in _EXIT_ORDER if bits & _BIT_OF[d]]
-
-
 def orbit(r: EvenRational, c0: tuple[int, int], max_steps: int | None = None,
           offset: Offset | None = None) -> OrbitResult:
     """Follow the directed connectors from the square c0, verifying the
     translation dynamics against the classifying map at every step.
 
-    Only the rational, zero-offset case has decidable region labels (the
-    plaid tiles themselves); any other request returns a truncated result.
+    The connectors come from the scalar ``tile_bits_at``, so orbits stay an
+    independent check of the dense tiles.  Only the rational, zero-offset
+    case has decidable region labels (the plaid tiles themselves); any other
+    request returns a truncated result.
     """
     if offset is not None and any(x != 0 for x in (offset.v1, offset.v2, offset.v3)):
         return OrbitResult(c0, [], False, None, truncated=True,
                            reason="nonzero offsets have no label oracle")
     P = r.big_p
-    a, b = c0
-    bits = tile_bits_at(r, a, b)
+
+    def center(a, b):
+        return classify(P, Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2))
+
+    a0, b0 = c0
+    bits = tile_bits_at(r, a0, b0)
+    pt = center(a0, b0)
     if bits == 0:
         # empty tile: the identity map fixes the point
-        pt = classify(P, Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2))
         if follow("empty", pt) != pt:
             raise AssertionError(f"the empty tile at {c0} moves its point")
         return OrbitResult(c0, [], True, 0)
-    direction = _exits(bits)[0]
     if max_steps is None:
         max_steps = 4 * r.omega ** 2
     steps = []
-    state0 = (a, b, direction)
-    pt = classify(P, Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2))
-    opposite = {"N": "S", "S": "N", "E": "W", "W": "E"}
-    for _ in range(max_steps):
-        taken = direction
-        da, db = _DIR_STEP[taken]
-        a, b = a + da, b + db
-        pt = follow(taken, pt)
-        if pt != classify(P, Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2)):
+    connectors = walk(lambda a, b: tile_bits_at(r, a, b), c0, bits & -bits)
+    for _, (edge, (a, b)) in zip(range(max_steps), connectors):
+        pt = follow(EDGE_NAMES[edge], pt)
+        if pt != center(a, b):
             raise AssertionError(
                 f"translation dynamics and classifying map disagree at ({a},{b})")
-        bits = tile_bits_at(r, a, b)
-        entry = opposite[taken]
-        if not bits & _BIT_OF[entry]:
-            raise AssertionError(f"orbit entered ({a},{b}) through a closed edge")
-        exit_bits = bits & ~_BIT_OF[entry]
-        direction = next(d for d in _EXIT_ORDER if exit_bits & _BIT_OF[d])
-        steps.append({"dir": taken, "square": (a, b)})
-        if (a, b, direction) == state0:
+        steps.append({"dir": EDGE_NAMES[edge], "square": (a, b)})
+        if (a, b) == (a0, b0):
             return OrbitResult(c0, steps, True, len(steps))
     return OrbitResult(c0, steps, False, None, truncated=True,
                        reason="max_steps reached")

@@ -18,6 +18,9 @@ multiplies, so its int64 products stay below 2 * omega**2.  Rectangles
 smaller than the table evaluate L entry by entry.  The scalar
 ``tile_bits_at`` is the independent oracle; the tests pit the two against
 each other.
+
+One connector walk, ``walk``, steps from square to square across good
+edges; loop tracing, the big polygon and the PET orbits all use it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .numtheory import EvenRational, tune
 
 # edge bits
 N, E, S, W = 1, 2, 4, 8
-_EDGE_NAMES = {N: "N", E: "E", S: "S", W: "W"}
+EDGE_NAMES = {N: "N", E: "E", S: "S", W: "W"}
 _STEP = {N: (0, 1), S: (0, -1), E: (1, 0), W: (-1, 0)}
 _OPPOSITE = {N: S, S: N, E: W, W: E}
 
@@ -40,7 +43,7 @@ TILE_NAMES = {0: ""}
 for _a in (N, E, S, W):
     for _b in (N, E, S, W):
         if _a < _b:
-            TILE_NAMES[_a | _b] = _EDGE_NAMES[_a] + _EDGE_NAMES[_b]
+            TILE_NAMES[_a | _b] = EDGE_NAMES[_a] + EDGE_NAMES[_b]
 
 
 class CoherenceError(AssertionError):
@@ -163,7 +166,7 @@ def good_segments(r: EvenRational, square: tuple[int, int]) -> set[str]:
     """The good edges of one unit square, as a subset of {N, E, S, W}."""
     a, b = square
     bits = tile_bits_at(r, a, b)
-    return {name for bit, name in _EDGE_NAMES.items() if bits & bit}
+    return {name for bit, name in EDGE_NAMES.items() if bits & bit}
 
 
 def tile_bits_at(r: EvenRational, a: int, b: int) -> int:
@@ -266,17 +269,6 @@ class PlaidPolygon:
         lo, hi = self.x_extent()
         return hi - lo
 
-    def y_extent(self) -> tuple[Fraction, Fraction]:
-        ys = [Fraction(2 * b + 1, 2) for _, b in self.squares]
-        for (a1, b1), (a2, b2) in self._edges():
-            if b1 != b2:
-                ys.append(Fraction(max(b1, b2)))
-        return min(ys), max(ys)
-
-    def y_diameter(self) -> Fraction:
-        lo, hi = self.y_extent()
-        return hi - lo
-
     def _edges(self):
         n = len(self.squares)
         for i in range(n if self.closed else n - 1):
@@ -294,6 +286,56 @@ class PlaidPolygon:
         return sum(1 for (a1, _), (a2, _) in self._edges() if {a1, a2} == {x - 1, x})
 
 
+def walk(bits_at, square: tuple[int, int], exit_edge: int):
+    """Follow the connectors from ``square``, leaving it through ``exit_edge``.
+
+    ``bits_at(a, b)`` gives the edge bits of a square, or None outside the
+    region.  Yields ``(edge crossed, square entered)`` per step, the return
+    to ``square`` included, and stops there or on leaving the region.
+    """
+    start = a, b = square
+    while True:
+        da, db = _STEP[exit_edge]
+        a, b = a + da, b + db
+        bits = bits_at(a, b)
+        if bits is None:
+            return
+        entry = _OPPOSITE[exit_edge]
+        if not bits & entry:
+            raise CoherenceError(f"connector mismatch entering ({a},{b})")
+        yield exit_edge, (a, b)
+        if (a, b) == start:
+            return
+        exit_edge = bits & ~entry
+        if exit_edge not in _STEP:
+            raise CoherenceError(f"square ({a},{b}) lacks a unique exit")
+
+
+def _region_bits(tiling: PlaidTiling):
+    """``bits_at`` for ``walk`` over the tiling's region, in global coordinates."""
+    cols, (w, h) = tiling.tiles.tolist(), tiling.shape
+
+    def bits_at(a: int, b: int) -> int | None:
+        i, j = a - tiling.x0, b - tiling.y0
+        return cols[i][j] if 0 <= i < w and 0 <= j < h else None
+    return bits_at
+
+
+def _polygon_through(r: EvenRational, bits_at, start: tuple[int, int]) -> PlaidPolygon:
+    """The loop or open path through the nonempty square ``start``.
+
+    The walk leaves ``start`` through its least good edge in N < E < S < W
+    order; an open path is completed backwards through the other one.
+    """
+    bits = bits_at(*start)
+    first = bits & -bits
+    path = [sq for _, sq in walk(bits_at, start, first)]
+    if path and path[-1] == start:
+        return PlaidPolygon(r, [start] + path[:-1])
+    back = [sq for _, sq in walk(bits_at, start, bits & ~first)]
+    return PlaidPolygon(r, back[::-1] + [start] + path, closed=False)
+
+
 def trace_polygons(tiling: PlaidTiling) -> list[PlaidPolygon]:
     """All loops in the region, traced deterministically.
 
@@ -301,91 +343,30 @@ def trace_polygons(tiling: PlaidTiling) -> list[PlaidPolygon]:
     through the least good edge in N < E < S < W order.  Paths that reach the
     region boundary are returned with ``closed=False``.
     """
-    r = tiling.parameter
-    w, h = tiling.shape
-    seen = np.zeros((w, h), dtype=bool)
-    loops = []
-    order = (N, E, S, W)
-    for a0 in range(w):
-        for b0 in range(h):
-            if seen[a0, b0] or not tiling.tiles[a0, b0]:
-                continue
-            squares = [(a0, b0)]
-            seen[a0, b0] = True
-            bits = int(tiling.tiles[a0, b0])
-            exit_edge = next(e for e in order if bits & e)
-            closed = True
-            a, b = a0, b0
-            while True:
-                da, db = _STEP[exit_edge]
-                a, b = a + da, b + db
-                if not (0 <= a < w and 0 <= b < h):
-                    closed = False
-                    # walk the other way from the start to capture the tail
-                    squares = _extend_backwards(tiling, squares, seen)
-                    break
-                entry = _OPPOSITE[exit_edge]
-                bits = int(tiling.tiles[a, b])
-                if not bits & entry:
-                    raise CoherenceError(
-                        f"connector mismatch entering ({a + tiling.x0},{b + tiling.y0})")
-                if (a, b) == (a0, b0):
-                    break
-                squares.append((a, b))
-                seen[a, b] = True
-                exit_edge = bits & ~entry
-                if exit_edge not in _STEP:
-                    raise CoherenceError(f"square ({a},{b}) lacks a unique exit")
-            loops.append(PlaidPolygon(
-                r, [(a + tiling.x0, b + tiling.y0) for a, b in squares], closed))
+    bits_at = _region_bits(tiling)
+    seen, loops = set(), []
+    for start in tiling.nonempty_squares():
+        if start not in seen:
+            loops.append(_polygon_through(tiling.parameter, bits_at, start))
+            seen.update(loops[-1].squares)
     return loops
 
 
-def _extend_backwards(tiling: PlaidTiling, squares, seen):
-    """Continue an open path from its first square in the opposite direction."""
-    w, h = tiling.shape
-    rev = []
-    a0, b0 = squares[0]
-    a, b = a0 - tiling.x0, b0 - tiling.y0
-    bits = int(tiling.tiles[a, b])
-    order = (N, E, S, W)
-    used = next(e for e in order if bits & e)
-    exit_edge = bits & ~used
-    while exit_edge in _STEP:
-        da, db = _STEP[exit_edge]
-        a, b = a + da, b + db
-        if not (0 <= a < w and 0 <= b < h):
-            break
-        entry = _OPPOSITE[exit_edge]
-        bits = int(tiling.tiles[a, b])
-        if not bits & entry:
-            raise CoherenceError("connector mismatch while back-tracing")
-        rev.append((a, b))
-        seen[a, b] = True
-        exit_edge = bits & ~entry
-    rev.reverse()
-    return [(a + tiling.x0, b + tiling.y0) for a, b in rev] + squares
-
-
-def big_polygon(r: EvenRational, tiling: PlaidTiling | None = None) -> PlaidPolygon:
+def big_polygon(r: EvenRational) -> PlaidPolygon:
     """The distinguished loop through the positive capacity-2 horizontal line.
 
-    Asserts the x-diameter bound omega^2/(2q) - 1 and the bilateral symmetry
-    about the horizontal midline of the first block.
+    It crosses that line at (1/2, y_plus), the S edge of the square
+    (0, y_plus), and is listed as ``trace_polygons`` lists it: from its least
+    square.  Asserts the x-diameter bound omega^2/(2q) - 1 and the bilateral
+    symmetry about the horizontal midline of the first block.
     """
     t = tune(r)
     y_plus = t.tau if t.sign_choice > 0 else r.omega - t.tau
-    if tiling is None:
-        tiling = first_block_tiling(r)
-    loops = trace_polygons(tiling)
-    target = None
-    for loop in loops:
-        if any(a1 == a2 == 0 and {b1, b2} == {y_plus - 1, y_plus}
-               for (a1, b1), (a2, b2) in loop._edges()):
-            target = loop
-            break
-    if target is None:
+    bits_at = _region_bits(first_block_tiling(r))
+    if not bits_at(0, y_plus) & S:
         raise AssertionError(f"no loop crosses (1/2, {y_plus}) for {r}")
+    loop = _polygon_through(r, bits_at, (0, y_plus))
+    target = _polygon_through(r, bits_at, min(loop.squares))
     if target.x_diameter() < Fraction(r.omega ** 2, 2 * r.q) - 1:
         raise AssertionError(f"big polygon of {r} is too narrow")
     mirrored = frozenset((a, r.omega - 1 - b) for a, b in target.squares)

@@ -27,6 +27,10 @@ def test_usage_error_exit_codes(capsys):
     assert run(["tile", "5/3"]) == 2  # not in (0, 1)
     assert run(["tile", "3/5"]) == 2  # odd rational
     assert run(["chain", "4/6"]) == 2  # not reduced
+    capsys.readouterr()
+    for what in ("orbit", "fiber"):
+        assert run(["pet", what]) == 2
+        assert capsys.readouterr().err == f"error: pet {what} needs a parameter\n"
     with pytest.raises(SystemExit) as exc:
         run(["bogus"])
     assert exc.value.code == 2

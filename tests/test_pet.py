@@ -104,6 +104,18 @@ def test_orbit_5_12_reproduces_big_polygon():
     assert set(res.squares()) == g.center_set()
 
 
+def test_orbit_max_steps_truncates():
+    r = EvenRational(5, 12)
+    res = orbit(r, (0, 5), max_steps=3)
+    assert [s["dir"] for s in res.steps] == ["N", "E", "E"]
+    assert res.squares() == [(0, 5), (0, 6), (1, 6), (2, 6)]
+    assert res.truncated and not res.closed and res.period is None
+    assert res.reason == "max_steps reached"
+    period = orbit(r, (0, 5)).period
+    assert orbit(r, (0, 5), max_steps=period).closed
+    assert orbit(r, (0, 5), max_steps=period - 1).truncated
+
+
 def test_orbit_nonzero_offset_truncates():
     res = orbit(EvenRational(1, 2), (0, 0), offset=Offset(1, 0, 0))
     assert res.truncated and not res.closed

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plaid.numtheory import EvenRational
-from plaid.tiling import (_h_count_scalar, big_polygon, build_tiling,
-                          first_block_tiling, good_segments, h_edges_count,
-                          h_edges_good, tile_bits_at, trace_polygons, v_edges_good)
+from plaid.numtheory import EvenRational, tune
+from plaid.tiling import (E, N, S, W, CoherenceError, _h_count_scalar, big_polygon,
+                          build_tiling, first_block_tiling, good_segments,
+                          h_edges_count, h_edges_good, tile_bits_at, trace_polygons,
+                          v_edges_good)
 
 
 def even_rationals(max_omega):
@@ -146,6 +147,16 @@ def test_big_polygon_anchor_cluster_12_29():
     assert len(g.anchors()) == 16  # nested binary cluster, 2^4 points
 
 
+def test_big_polygon_is_the_first_block_loop_through_y_plus():
+    for r in even_rationals(61):
+        t = tune(r)
+        y_plus = t.tau if t.sign_choice > 0 else r.omega - t.tau
+        loop = next(lp for lp in trace_polygons(first_block_tiling(r))
+                    if (0, y_plus) in lp.squares)
+        assert loop.closed
+        assert big_polygon(r).squares == loop.squares, r
+
+
 def test_capacity_crossing_bounds():
     # a loop crosses any capacity-2k vertical line at most 2k times; the
     # capacity-2 lines exactly 0 or 2 times
@@ -227,3 +238,56 @@ def test_thin_rectangles_match_scalar_oracle(r, x0, y0, w, h):
     # thin rectangles at large omega evaluate the light test directly
     squares = [(a, b) for a in range(x0, x0 + w) for b in range(y0, y0 + h)]
     assert_matches_scalar_oracle(r, x0, x0 + w, y0, y0 + h, squares)
+
+
+_DIRS = {N: (0, 1), E: (1, 0), S: (0, -1), W: (-1, 0)}
+
+
+def assert_traced(tiling, loops):
+    """Every nonempty square lies on exactly one path, consecutive squares
+    share a good edge, and open paths end on the region boundary."""
+    (w, h), x0, y0 = tiling.shape, tiling.x0, tiling.y0
+
+    def links(square):
+        a, b = square
+        return [(a + da, b + db) for e, (da, db) in _DIRS.items()
+                if tiling.tile_bits(a, b) & e]
+
+    def inside(a, b):
+        return x0 <= a < x0 + w and y0 <= b < y0 + h
+
+    assert sorted(sq for lp in loops for sq in lp.squares) == tiling.nonempty_squares()
+    for lp in loops:
+        sq = lp.squares
+        for s, t in zip(sq, sq[1:] + sq[:1] if lp.closed else sq[1:]):
+            assert t in links(s) and s in links(t)
+        if not lp.closed:
+            for end, nxt in ((sq[0], sq[1:2]), (sq[-1], sq[-2:-1])):
+                assert all(not inside(*n) for n in links(end) if n not in nxt)
+
+
+@pytest.mark.parametrize("region, expected", [
+    ((1, 4, 0, 3), [([(1, 0), (2, 0), (3, 0)], False), ([(1, 2)], False)]),
+    ((4, 7, 4, 7), [([(6, 4), (5, 4), (4, 4), (4, 5), (4, 6)], False),
+                    ([(5, 5), (5, 6), (6, 6), (6, 5)], True)]),
+])
+def test_offset_region_tracing_2_5(region, expected):
+    tiling = build_tiling(EvenRational(2, 5), *region)
+    loops = trace_polygons(tiling)
+    assert [(lp.squares, lp.closed) for lp in loops] == expected
+    assert_traced(tiling, loops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=even_rational(31), x0=ORIGINS, y0=ORIGINS,
+       w=st.integers(0, 64), h=st.integers(0, 32))
+def test_offset_regions_trace_every_square_once(r, x0, y0, w, h):
+    tiling = build_tiling(r, x0, x0 + w, y0, y0 + h)
+    assert_traced(tiling, trace_polygons(tiling))
+
+
+def test_connector_mismatch_names_the_global_square():
+    tiling = build_tiling(EvenRational(2, 5), 4, 7, 4, 7)
+    tiling.tiles[1, 1] = 0  # square (5, 5) drops out of its closed loop
+    with pytest.raises(CoherenceError, match=r"entering \(5,5\)"):
+        trace_polygons(tiling)
