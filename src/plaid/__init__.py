@@ -3,28 +3,8 @@
 Tilings, distinguished polygons, copying phenomena and the associated
 polytope-exchange dynamics for even rational parameters, all in integer or
 exact field arithmetic, with desk-scale verification sweeps for every
-identity the construction rests on.
+identity the construction rests on.  The package root exposes only
+``__version__``; import from the submodules.
 """
 
 __version__ = "0.1.0"
-
-from .exactnum import CFTarget, QuadRat, QuadraticTarget, parse_irrational
-from .numtheory import (EvenRational, PredecessorChain, approximating_sequence,
-                        core_predecessor, diophantine_check, even_predecessor,
-                        kappa, main_identity, predecessor, predecessor_chain,
-                        tune, verify_omnibus)
-from .grid import (GridLine, IntersectionPoint, anchor_lines, cap_scaled,
-                   classify_intersection, classify_point, f_value,
-                   line_invariants, mass_scaled, vertical_lemma_check)
-from .tiling import (PlaidPolygon, PlaidTiling, big_polygon, build_tiling,
-                     first_block_tiling, good_segments, trace_polygons)
-from .alignment import (MatchReport, Rect, RectanglePair, arithmetic_alignment,
-                        geometric_alignment, matching, psi_xi_audit, sequences)
-from .copying import (CopyReport, MarkedBox, TreeRealization, box_r,
-                      omni2_check, realize_tree, sigma_core, sigma_weak_strong,
-                      verify_box_lemma, verify_copy_theorem, verify_core_copy,
-                      verify_weak_strong_copy)
-from .pet import (Offset, PetPoint, classify, follow, good_offset,
-                  limit_experiment, orbit, reconstruct_fiber_grid)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

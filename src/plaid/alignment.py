@@ -21,7 +21,7 @@ import numpy as np
 from .grid import cap_scaled, is_light_value, mass_scaled
 from .numtheory import (EvenRational, core_predecessor, even_predecessor,
                         kappa, pair_kind, tune)
-from .tiling import build_tiling
+from .tiling import build_tiling, h_edges_good
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,12 @@ class Rect:
 
     def as_tuple(self):
         return (self.x0, self.x1, self.y0, self.y1)
+
+
+def box_r(r: EvenRational) -> Rect:
+    """[0, w] x [0, omega] with w = min(tau, omega - 2*tau)."""
+    t = tune(r).tau
+    return Rect(0, min(t, r.omega - 2 * t), 0, r.omega)
 
 
 @dataclass(frozen=True)
@@ -63,10 +69,6 @@ class SignSequence:
     hi: int  # inclusive index range
     values: dict[int, int]
     specials: frozenset[int] = frozenset()
-
-    def sign(self, j: int) -> int:
-        v = self.values[j]
-        return (v > 0) - (v < 0)
 
 
 def capacity_sequence(r: EvenRational, rect: Rect) -> SignSequence:
@@ -195,7 +197,6 @@ class MatchReport:
 
 
 def _crossing_pattern(r: EvenRational, y: int, x0: int, x1: int) -> tuple:
-    from .tiling import h_edges_good
     return tuple(bool(b) for b in h_edges_good(r, y, x0, x1))
 
 
@@ -279,8 +280,7 @@ def classify_case(r_prev: EvenRational, r: EvenRational) -> int:
     """Case 1..4 of the even-predecessor bound analysis."""
     if even_predecessor(r) != r_prev or kappa(r).kappa != 0:
         raise ValueError(f"{r_prev} is not the even predecessor of {r} with kappa=0")
-    tp, omp = tune(r_prev).tau, r_prev.omega
-    narrow = tp <= omp - 2 * tp  # width branch: W' = tau'
+    narrow = box_r(r_prev).x1 == tune(r_prev).tau  # width branch: W' = tau'
     if pair_kind(r) == "weak":
         return 1 if narrow else 2
     return 3 if narrow else 4
@@ -288,14 +288,12 @@ def classify_case(r_prev: EvenRational, r: EvenRational) -> int:
 
 def sigma_dimensions(r_prev: EvenRational, r: EvenRational) -> tuple[int, int]:
     """(W', H') of the comparison rectangle for an even-predecessor pair."""
-    tp, omp = tune(r_prev).tau, r_prev.omega
-    w = min(tp, omp - 2 * tp)
+    w, omp = box_r(r_prev).x1, r_prev.omega
     h = omp if pair_kind(r) == "strong" else omp - w
     return w, h
 
 
-def psi_xi_audit(r_prev: EvenRational, r: EvenRational,
-                 case: int | None = None) -> BoundReport:
+def psi_xi_audit(r_prev: EvenRational, r: EvenRational) -> BoundReport:
     """Verify the capacity and mass bound inequalities for an even pair.
 
     Capacity side: Psi(i) = 4i/omega must stay below l_i + 2*lambda.  Mass
@@ -303,10 +301,8 @@ def psi_xi_audit(r_prev: EvenRational, r: EvenRational,
     exceptional indices where the margin l_j is 1.  Ground-truth sign
     equality is asserted independently of the inequalities.
     """
-    actual = classify_case(r_prev, r)
-    if case is not None and case != actual:
-        raise ValueError(f"pair {r_prev}->{r} is case {actual}, not {case}")
-    rep = BoundReport((str(r_prev), str(r)), actual)
+    case = classify_case(r_prev, r)
+    rep = BoundReport((str(r_prev), str(r)), case)
     om, omp = r.omega, r_prev.omega
     tp = tune(r_prev).tau
     lam = Fraction(omp, om)
@@ -344,7 +340,7 @@ def psi_xi_audit(r_prev: EvenRational, r: EvenRational,
         if (Mj > 0) != (Mpj > 0):
             mass_ok = False
     rep.checks["mass_signs"] = mass_ok
-    if actual in (1, 3):
+    if case in (1, 3):
         rep.checks["xi_bound_all"] = xi_ok
     else:
         # cases 2 and 4: margin-1 indices are confined to the stated set and

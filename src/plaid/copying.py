@@ -15,18 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .alignment import Rect, RectanglePair
+from .alignment import Rect, RectanglePair, box_r, sigma_dimensions
 from .grid import cap_scaled, mass_scaled
 from .numtheory import (EvenRational, core_predecessor, even_predecessor,
                         kappa, pair_kind, predecessor_chain, tune)
 from .tiling import (PlaidPolygon, big_polygon, build_tiling, tile_bits_at,
                      v_edges_good)
-
-
-def box_r(r: EvenRational) -> Rect:
-    """[0, w] x [0, omega] with w = min(tau, omega - 2*tau)."""
-    t = tune(r).tau
-    return Rect(0, min(t, r.omega - 2 * t), 0, r.omega)
 
 
 def box_width_by_scan(r: EvenRational) -> int:
@@ -49,13 +43,10 @@ def sigma_weak_strong(r_prev: EvenRational, r: EvenRational) -> RectanglePair:
         raise ValueError(f"{r} has kappa >= 1; use sigma_core")
     if even_predecessor(r) != r_prev:
         raise ValueError(f"{r_prev} is not the even predecessor of {r}")
-    rp = box_r(r_prev)
-    if pair_kind(r) == "strong":
-        sigma_prime = rp
-    else:  # weak: clipped below the top low-capacity horizontal line
-        tp, omp = tune(r_prev).tau, r_prev.omega
-        sigma_prime = Rect(rp.x0, rp.x1, 0, omp - min(tp, omp - 2 * tp))
-    return RectanglePair(sigma_prime, 0)
+    # strong: the box of r_prev; weak: clipped below its top low-capacity
+    # horizontal line
+    w, h = sigma_dimensions(r_prev, r)
+    return RectanglePair(Rect(0, w, 0, h), 0)
 
 
 def sigma_core(r_hat: EvenRational, r: EvenRational) -> RectanglePair:
@@ -391,20 +382,18 @@ def eta(r: EvenRational) -> int:
     return r.omega - 2 * tune(r).tau
 
 
-def realize_tree(terms: list[EvenRational], depth: int,
-                 with_curves: bool | None = None) -> TreeRealization:
+def realize_tree(terms: list[EvenRational], depth: int) -> TreeRealization:
     """Nest translated marked boxes realizing the binary tree of the chain.
 
     ``terms`` are consecutive approximating terms (smallest first).  The
     realization is normalized: the root's bottom capacity-2 anchor is at
     height 0 and all sibling translations move upward.  Curves are traced and
-    checked for genuine containment when the parameters are small.
+    checked for genuine containment when the largest omega is at most 200.
     """
     if depth < 1 or len(terms) < depth:
         raise ValueError(f"need at least depth={depth} chain terms, have {len(terms)}")
     terms = list(terms[:depth])
-    if with_curves is None:
-        with_curves = terms[-1].omega <= 200
+    with_curves = terms[-1].omega <= 200
     etas = [eta(s) for s in terms]
     branches, ds, shifts = [], [], []
     for r0, r1 in zip(terms, terms[1:]):

@@ -1,7 +1,7 @@
-"""The four line families and the light/dark classification.
+"""Scaled line invariants, the light test, and its exact oracle.
 
-All line invariants are stored as omega-scaled integers so every comparison
-is integer arithmetic:
+The invariants of the grid lines are stored as omega-scaled integers so every
+comparison is integer arithmetic:
 
 * capacity lines (horizontal y = n, vertical x = n):
   ``C = [4*p*n] mod 2*omega`` normalized into (-omega, omega); even.
@@ -15,6 +15,10 @@ A point z where an H/V line meets a negative-slope line is *light* when
 |M| < |C| and M*C > 0, evaluated for some negative-slope line through z.
 Intersections with the positive-slope families never witness lightness;
 they only enter the sign bookkeeping of the vertical-compatibility check.
+
+``f_value`` derives the scaled values from P and Q at an exact point, and
+``classify_point`` classifies one exact point with it: the independent oracle
+of the edge kernel ``tiling._edge_counts``.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numtheory import EvenRational
-
-FAMILIES = ("H", "V", "P-", "P+", "Q-", "Q+")
 
 
 def cap_scaled(r: EvenRational, n: int) -> int:
@@ -41,55 +43,18 @@ def mass_scaled(r: EvenRational, j: int) -> int:
     return v - 2 * om if v > om else v
 
 
-def is_inert(r: EvenRational, j: int) -> bool:
-    return j % r.omega == 0
-
-
 def is_light_value(C: int, M: int, omega: int) -> bool:
     """Eq.-style light test on scaled values (inert witnesses never light)."""
     return M != omega and abs(M) < abs(C) and M * C > 0
 
 
-@dataclass(frozen=True)
-class GridLine:
-    family: str  # one of FAMILIES
-    intercept: int  # y-intercept (x-intercept for V lines)
-    parameter: EvenRational
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-
-    def f_scaled(self) -> int:
-        """omega * F on this line, signed; +omega for inert slanting lines."""
-        r, n = self.parameter, self.intercept
-        if self.family in ("H", "V"):
-            return cap_scaled(r, n)
-        m = mass_scaled(r, n)
-        if self.family.endswith("+") and m != r.omega:
-            m = -m
-        return m
-
-    def capacity_or_mass(self) -> int:
-        return abs(self.f_scaled())
-
-    def sign(self) -> int:
-        v = self.f_scaled()
-        if self.family not in ("H", "V") and abs(v) == self.parameter.omega:
-            return 0  # inert
-        return (v > 0) - (v < 0)
-
-    @property
-    def inert(self) -> bool:
-        return self.family not in ("H", "V") and self.capacity_or_mass() == self.parameter.omega
-
-
 def f_value(family: str, r: EvenRational, point) -> int:
     """omega-scaled value of the family's adapted function at an exact point.
 
-    The value must land on the (1/omega)-grid (it does at every point of a
-    line of the family); otherwise a precision error is raised so the caller
-    can pre-clear denominators.
+    The families are H, V and the slanting P-, P+, Q-, Q+.  The value must
+    land on the (1/omega)-grid (it does at every point of a line of the
+    family); otherwise a precision error is raised so the caller can
+    pre-clear denominators.
     """
     x, y = Fraction(point[0]), Fraction(point[1])
     om = r.omega
@@ -114,38 +79,6 @@ def f_value(family: str, r: EvenRational, point) -> int:
     return v if v != -om else om  # odd, in (-omega, omega]; +omega marks inert
 
 
-def line_invariants(line: GridLine) -> tuple[int, int]:
-    """(capacity-or-mass, sign); inert lines report (omega, 0)."""
-    return line.capacity_or_mass(), line.sign()
-
-
-def anchor_lines(r: EvenRational, k: int) -> dict:
-    """Positions of the capacity-2k lines and the mass-(2k+1)-ish anchors.
-
-    Capacity-2k H and V lines sit at coordinate +-k*tau mod omega; the
-    slanting lines of mass m sit at y-intercepts +-m*tau mod omega (odd m).
-    Cross-checked against direct invariant computation.
-    """
-    from .numtheory import tune
-    om, t = r.omega, tune(r).tau
-    out: dict = {}
-    if k < 0 or 2 * k >= om:
-        raise ValueError("capacity 2k must lie in [0, omega-1]")
-    xs = sorted({(k * t) % om, (-k * t) % om})
-    for x in xs:
-        if abs(cap_scaled(r, x)) != 2 * k:
-            raise AssertionError(f"capacity anchor failed at {x}")
-    out["capacity"] = {"value": 2 * k, "coordinates": xs}
-    m = 2 * k + 1
-    if m <= om:
-        js = sorted({(m * t) % om, (-m * t) % om})
-        for j in js:
-            if abs(mass_scaled(r, j)) != m and not is_inert(r, j):
-                raise AssertionError(f"mass anchor failed at {j}")
-        out["mass"] = {"value": m, "intercepts": js}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Intersection points
 # ---------------------------------------------------------------------------
@@ -154,48 +87,37 @@ def anchor_lines(r: EvenRational, k: int) -> dict:
 class IntersectionPoint:
     x: Fraction
     y: Fraction
-    lines: tuple[GridLine, ...]
     shade: str  # 'light' | 'dark'
     point_type: str  # 'P' | 'Q' | 'both'
     double_counted: bool
 
 
-def classify_intersection(r: EvenRational, axis_line: GridLine,
-                          slant_line: GridLine) -> IntersectionPoint:
-    """Classify the crossing of an H/V line with a negative-slope line.
+def classify_point(r: EvenRational, x, y, axis: str | None = None) -> IntersectionPoint:
+    """Classify the crossing of an H or V line with the slanting lines at (x, y).
 
-    Lightness is decided by *all* negative-slope lines through the point, so
-    triple points (block corners, horizontal midpoints) are classified once.
+    Every negative-slope line through the point is found exactly, and the
+    point is light when ``f_value`` of the H or V line and of one of them
+    pass ``is_light_value``, so triple points (block corners, horizontal
+    midpoints) are classified once.  A light point at a half-integer x of a
+    horizontal line is double counted.  ``axis`` ('H' or 'V') names the
+    capacity line; by default it is H where y is an integer.  Raises if the
+    point is not an intersection of an H/V line with a slanting line.
     """
-    if axis_line.family not in ("H", "V") or slant_line.family not in ("P-", "Q-"):
-        raise ValueError("need an H/V line and a negative-slope slanting line")
-    om = r.omega
-    n, j = axis_line.intercept, slant_line.intercept
-    slope_num = 2 * r.p if slant_line.family == "P-" else 2 * r.q
-    if axis_line.family == "H":
-        # y = n on  y = -(slope_num/om) x + j  =>  x = om (j - n) / slope_num
-        x = Fraction(om * (j - n), slope_num)
-        y = Fraction(n)
-    else:
-        x = Fraction(n)
-        y = Fraction(j * om - slope_num * n, om)
-    C = axis_line.f_scaled()
-    witnesses = [(slant_line.family, j)]
-    point_type = slant_line.family[0]
-    double = False
-    if axis_line.family == "H":
-        # companion negative line of the other slope through the same point
-        other = 2 * r.q if slant_line.family == "P-" else 2 * r.p
-        shift = x * other / om
-        if shift.denominator == 1:
-            fam2 = "Q-" if slant_line.family == "P-" else "P-"
-            witnesses.append((fam2, n + int(shift)))
-            point_type = "both"
-        double = x.denominator == 2
-    light = any(is_light_value(C, mass_scaled(r, jj), om) for _, jj in witnesses)
-    lines = (axis_line,) + tuple(GridLine(f, jj, r) for f, jj in witnesses)
-    return IntersectionPoint(x, y, lines, "light" if light else "dark",
-                             point_type, double and light)
+    x, y = Fraction(x), Fraction(y)
+    slants = [fam for fam, slope in (("P-", r.big_p), ("Q-", r.big_q))
+              if (y + slope * x).denominator == 1]
+    if not slants:
+        raise ValueError(f"({x}, {y}) lies on no slanting grid line")
+    on_h = y.denominator == 1 if axis is None else axis == "H"
+    if on_h and y.denominator != 1:
+        raise ValueError(f"({x}, {y}) is not on a horizontal grid line")
+    if not on_h and x.denominator != 1:
+        raise ValueError(f"({x}, {y}) is not on a vertical grid line")
+    C = f_value("H" if on_h else "V", r, (x, y))
+    light = any(is_light_value(C, f_value(fam, r, (x, y)), r.omega) for fam in slants)
+    point_type = "both" if len(slants) == 2 else slants[0][0]
+    return IntersectionPoint(x, y, "light" if light else "dark", point_type,
+                             light and on_h and x.denominator == 2)
 
 
 def vertical_partner_intercept(x0: int, j: int, primary: str) -> tuple[str, int]:
@@ -209,34 +131,6 @@ def vertical_partner_intercept(x0: int, j: int, primary: str) -> tuple[str, int]
     if primary == "Q-":
         return "P+", j - 2 * x0
     raise ValueError("primary must be 'P-' or 'Q-'")
-
-
-def classify_point(r: EvenRational, x, y, axis: str | None = None) -> IntersectionPoint:
-    """Classify an intersection point given by coordinates.
-
-    Locates the negative-slope line(s) through (x, y) and the H or V line,
-    then defers to :func:`classify_intersection`.  Raises if the point is not
-    an intersection of an H/V line with a slanting line.
-    """
-    x, y = Fraction(x), Fraction(y)
-    slants = []
-    for fam, slope_num in (("P-", 2 * r.p), ("Q-", 2 * r.q)):
-        j = y + Fraction(slope_num, r.omega) * x
-        if j.denominator == 1:
-            slants.append((fam, int(j)))
-    if not slants:
-        raise ValueError(f"({x}, {y}) lies on no slanting grid line")
-    if axis is None:
-        axis = "H" if y.denominator == 1 else "V"
-    if axis == "H":
-        if y.denominator != 1:
-            raise ValueError(f"({x}, {y}) is not on a horizontal grid line")
-        axis_line = GridLine("H", int(y), r)
-    else:
-        if x.denominator != 1:
-            raise ValueError(f"({x}, {y}) is not on a vertical grid line")
-        axis_line = GridLine("V", int(x), r)
-    return classify_intersection(r, axis_line, GridLine(slants[0][0], slants[0][1], r))
 
 
 def vertical_lemma_check(r: EvenRational, x0: int, j: int, primary: str = "P-") -> bool:

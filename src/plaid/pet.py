@@ -82,13 +82,6 @@ def follow(direction: str, pt: PetPoint) -> PetPoint:
 # Good offsets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Offset:
-    v1: object
-    v2: object
-    v3: object
-
-
 def in_q_of_p(x, P) -> bool | None:
     """Membership of x in Q[P] = {r1 + r2*P}; None when undecidable here.
 
@@ -106,23 +99,21 @@ def in_q_of_p(x, P) -> bool | None:
     return None
 
 
-def good_offset(v: Offset | tuple, P) -> str:
+def good_offset(v: tuple, P) -> str:
     """'good' | 'bad' | 'undetermined' per the offset criterion.
 
-    Rational parameters always report 'bad' (wall hits occur); for quadratic
-    irrational parameters the criterion certifies 'good' when V1 lies in
-    Q[P] while V2 and V3 do not.  Inputs outside the decidable classes give
-    'undetermined'.
+    ``v`` is the offset triple (V1, V2, V3).  Rational parameters always
+    report 'bad' (wall hits occur); for quadratic irrational parameters the
+    criterion certifies 'good' when V1 lies in Q[P] while V2 and V3 do not.
+    Inputs outside the decidable classes give 'undetermined'.
     """
-    if isinstance(v, tuple):
-        v = Offset(*v)
     if isinstance(P, QuadraticTarget):
         P = P.big_p()
     rational_p = isinstance(P, (int, Fraction)) or (
         isinstance(P, QuadRat) and P.is_rational)
     if rational_p:
         return "bad"
-    m1, m2, m3 = (in_q_of_p(x, P) for x in (v.v1, v.v2, v.v3))
+    m1, m2, m3 = (in_q_of_p(x, P) for x in v)
     if m1 is None or m2 is None or m3 is None:
         return "undetermined"
     if m1 and not m2 and not m3:
@@ -147,19 +138,16 @@ class OrbitResult:
         return [self.start] + [s["square"] for s in self.steps]
 
 
-def orbit(r: EvenRational, c0: tuple[int, int], max_steps: int | None = None,
-          offset: Offset | None = None) -> OrbitResult:
+def orbit(r: EvenRational, c0: tuple[int, int],
+          max_steps: int | None = None) -> OrbitResult:
     """Follow the directed connectors from the square c0, verifying the
     translation dynamics against the classifying map at every step.
 
     The connectors come from the scalar ``tile_bits_at``, so orbits stay an
     independent check of the dense tiles.  Only the rational, zero-offset
-    case has decidable region labels (the plaid tiles themselves); any other
-    request returns a truncated result.
+    case has decidable region labels (the plaid tiles themselves), and it is
+    the only one followed here.
     """
-    if offset is not None and any(x != 0 for x in (offset.v1, offset.v2, offset.v3)):
-        return OrbitResult(c0, [], False, None, truncated=True,
-                           reason="nonzero offsets have no label oracle")
     P = r.big_p
 
     def center(a, b):

@@ -15,9 +15,9 @@ horizontal edge reads its P and Q crossings, a corner going to the edge on
 its right for P and on its left for Q.  The kernel works on whole lines,
 _BLOCK elements at a time, and reduces every coordinate mod omega before it
 multiplies, so its int64 products stay below 2 * omega**2.  Rectangles
-smaller than the table evaluate L entry by entry.  The scalar
-``tile_bits_at`` is the independent oracle; the tests pit the two against
-each other.
+smaller than the table evaluate L entry by entry.  The tests pit it
+against two oracles: the scalar ``tile_bits_at``, and ``grid.classify_point``,
+which shares no formula with it.
 
 One connector walk, ``walk``, steps from square to square across good
 edges; loop tracing, the big polygon and the PET orbits all use it.

@@ -1,22 +1,13 @@
 from fractions import Fraction
-from math import gcd
-
-import pytest
 
 from plaid.alignment import (Rect, RectanglePair, arithmetic_alignment,
                              capacity_sequence, classify_case, core_mass_audit,
                              geometric_alignment, mass_sequence, matching,
                              psi_xi_audit, sequences, sigma_dimensions)
+from plaid.checks import even_rationals
 from plaid.copying import (core_predecessor, even_predecessor, sigma_core,
                            sigma_weak_strong)
 from plaid.numtheory import EvenRational, kappa, tune
-
-
-def even_rationals(max_omega, start=3):
-    for om in range(start, max_omega + 1, 2):
-        for p in range(1, om // 2 + 1):
-            if gcd(p, om) == 1:
-                yield EvenRational(p, om - p)
 
 
 R512 = EvenRational(5, 12)
@@ -113,8 +104,6 @@ def test_psi_xi_audit_examples():
     assert rep.case == 3 and rep.all_ok
     rep = psi_xi_audit(R512, EvenRational(12, 29))
     assert rep.case == 3 and rep.all_ok
-    with pytest.raises(ValueError):
-        psi_xi_audit(R25, R512, case=1)
     # lambda < 1/2 for strong pairs
     assert 2 * R25.omega < R512.omega
 

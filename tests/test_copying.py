@@ -1,12 +1,12 @@
 import os
 import subprocess
 import sys
-from math import gcd
 from pathlib import Path
 
 import pytest
 
 import plaid
+from plaid.checks import even_rationals
 from plaid.copying import (box_r, box_width_by_scan, capacity_two_lines,
                            connecting_chain, eta, observed_branch, omni2_check,
                            realize_tree, sigma_core, sigma_weak_strong,
@@ -14,13 +14,6 @@ from plaid.copying import (box_r, box_width_by_scan, capacity_two_lines,
                            verify_copy_theorem, verify_core_copy,
                            verify_weak_strong_copy)
 from plaid.numtheory import (EvenRational, kappa, predecessor_chain, tune)
-
-
-def even_rationals(max_omega, start=3):
-    for om in range(start, max_omega + 1, 2):
-        for p in range(1, om // 2 + 1):
-            if gcd(p, om) == 1:
-                yield EvenRational(p, om - p)
 
 
 def ER(p, q):

@@ -1,19 +1,11 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
-from plaid.grid import (GridLine, anchor_lines, cap_scaled, classify_point,
-                        f_value, line_invariants, mass_scaled,
+from plaid.checks import even_rationals
+from plaid.grid import (cap_scaled, classify_point, f_value, mass_scaled,
                         vertical_lemma_check, vertical_partner_intercept)
 from plaid.numtheory import EvenRational, tune
-
-
-def even_rationals(max_omega):
-    for om in range(3, max_omega + 1, 2):
-        for p in range(1, om // 2 + 1):
-            if gcd(p, om) == 1:
-                yield EvenRational(p, om - p)
 
 
 R512 = EvenRational(5, 12)
@@ -45,31 +37,6 @@ def test_f_value_matches_scaled_tables():
             assert f_value("P+", r, (0, n)) == (m if m == r.omega else -m)
 
 
-def test_line_invariants_examples():
-    t = tune(R512).tau
-    cap, sign = line_invariants(GridLine("V", t, R512))
-    assert cap == 2
-    cap, sign = line_invariants(GridLine("P-", 0, R512))
-    assert (cap, sign) == (17, 0)  # inert
-    # scan: the slanting line of mass 1 sits at intercept tau
-    masses = {j: line_invariants(GridLine("Q-", j, R512))[0]
-              for j in range(17)}
-    assert masses[t] == 1
-    assert min(m for j, m in masses.items() if j % 17) == 1
-
-
-def test_plus_family_sign_flip():
-    for r in (R512, EvenRational(3, 8)):
-        for j in range(r.omega):
-            minus = GridLine("P-", j, r)
-            plus = GridLine("P+", j, r)
-            assert minus.capacity_or_mass() == plus.capacity_or_mass()
-            if not minus.inert:
-                assert minus.sign() == -plus.sign()
-            else:
-                assert plus.sign() == 0
-
-
 def test_capacity_mass_parity_and_range():
     for r in even_rationals(200):
         om = r.omega
@@ -79,6 +46,12 @@ def test_capacity_mass_parity_and_range():
             m = mass_scaled(r, n)
             assert m % 2 == 1 and -om < m <= om
             assert (abs(m) == om) == (n % om == 0)
+        # anchors: capacity 2k at +-k*tau, mass m at intercepts +-m*tau (odd m)
+        t = tune(r).tau
+        for k in range((om + 1) // 2):
+            assert abs(cap_scaled(r, k * t % om)) == abs(cap_scaled(r, -k * t % om)) == 2 * k
+        for m in range(1, om, 2):
+            assert abs(mass_scaled(r, m * t % om)) == abs(mass_scaled(r, -m * t % om)) == m
 
 
 def test_classify_point_examples():
@@ -144,17 +117,6 @@ def test_vertical_partner_identity_key():
                 _, pj = vertical_partner_intercept(x0, j, "P-")
                 assert (mass_scaled(r, j) - mass_scaled(r, pj)) % (2 * om) \
                     == C % (2 * om)
-
-
-def test_anchor_lines():
-    out = anchor_lines(R512, 1)
-    assert out["capacity"]["coordinates"] == [5, 12]
-    assert out["mass"]["intercepts"] is not None
-    r = EvenRational(7, 18)
-    out = anchor_lines(r, 3)  # capacity 6 = 4*kappa + 2
-    assert 2 in out["capacity"]["coordinates"]  # the barrier line x = tau_hat
-    out = anchor_lines(R512, 0)
-    assert out["capacity"]["coordinates"] == [0]
 
 
 def test_lattice_invariance():

@@ -1,23 +1,15 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 from plaid.exactnum import QuadRat, QuadraticTarget
 from plaid.numtheory import EvenRational, tune
-from plaid.pet import (Offset, classify, classify_raw, follow, good_offset,
+from plaid.pet import (classify, classify_raw, follow, good_offset,
                        limit_experiment, orbit, reconstruct_fiber_grid,
                        reduce_point, window_tiles)
 from plaid.tiling import first_block_tiling, trace_polygons
 
 
 GOLDEN = QuadraticTarget(QuadRat(-1, 1, 2, 5))
-
-
-def even_rationals(max_omega):
-    for om in range(3, max_omega + 1, 2):
-        for p in range(1, om // 2 + 1):
-            if gcd(p, om) == 1:
-                yield EvenRational(p, om - p)
 
 
 def test_classify_examples():
@@ -114,11 +106,6 @@ def test_orbit_max_steps_truncates():
     period = orbit(r, (0, 5)).period
     assert orbit(r, (0, 5), max_steps=period).closed
     assert orbit(r, (0, 5), max_steps=period - 1).truncated
-
-
-def test_orbit_nonzero_offset_truncates():
-    res = orbit(EvenRational(1, 2), (0, 0), offset=Offset(1, 0, 0))
-    assert res.truncated and not res.closed
 
 
 def test_fiber_grid_2_5():

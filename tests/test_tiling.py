@@ -1,24 +1,19 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from plaid.checks import even_rationals
+from plaid.grid import classify_point
 from plaid.numtheory import EvenRational, tune
-from plaid.tiling import (E, N, S, W, CoherenceError, _h_count_scalar, big_polygon,
-                          build_tiling, first_block_tiling, good_segments,
+from plaid.tiling import (E, N, S, W, CoherenceError, _edge_counts, _h_count_scalar,
+                          big_polygon, build_tiling, first_block_tiling, good_segments,
                           h_edges_count, h_edges_good, tile_bits_at, trace_polygons,
                           v_edges_good)
-
-
-def even_rationals(max_omega):
-    for om in range(3, max_omega + 1, 2):
-        for p in range(1, om // 2 + 1):
-            if gcd(p, om) == 1:
-                yield EvenRational(p, om - p)
 
 
 def test_boundary_edges_never_good():
@@ -238,6 +233,46 @@ def test_thin_rectangles_match_scalar_oracle(r, x0, y0, w, h):
     # thin rectangles at large omega evaluate the light test directly
     squares = [(a, b) for a in range(x0, x0 + w) for b in range(y0, y0 + h)]
     assert_matches_scalar_oracle(r, x0, x0 + w, y0, y0 + h, squares)
+
+
+def exact_count(r, points, axis):
+    """Light points of one closed edge by the exact oracle: 2 for a double
+    counted point, 1 for any other light point, 0 for a dark one."""
+    total = 0
+    for x, y in points:
+        pt = classify_point(r, x, y, axis)
+        total += 2 if pt.double_counted else int(pt.shade == "light")
+    return total
+
+
+def h_edge_points(r, a, y):
+    """Crossings of [a, a+1] x {y} with the lines y = j - (s/omega) x:
+    x = omega * (j - y) / s."""
+    om = r.omega
+    return {(Fraction(om * t, s), y) for s in (2 * r.p, 2 * r.q)
+            for t in range(ceil(Fraction(s * a, om)), floor(Fraction(s * (a + 1), om)) + 1)}
+
+
+def v_edge_points(r, x, b):
+    """Crossings of {x} x [b, b+1] with the lines y = j - (s/omega) x."""
+    om = r.omega
+    return {(x, j - Fraction(s * x, om)) for s in (2 * r.p, 2 * r.q)
+            for j in range(ceil(b + Fraction(s * x, om)),
+                           floor(b + 1 + Fraction(s * x, om)) + 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=even_rational(10 ** 6), x0=ORIGINS, y0=ORIGINS,
+       w=st.integers(0, 5), h=st.integers(0, 5))
+@example(r=EvenRational(2, 5), x0=-1, y0=0, w=5, h=5)  # light corner and midpoint
+def test_edge_counts_match_exact_oracle(r, x0, y0, w, h):
+    # classify_point finds each crossing and decides it from f_value alone,
+    # so it shares no formula with the kernel
+    hc, vc = _edge_counts(r, x0, x0 + w, y0, y0 + h)
+    assert hc.tolist() == [[exact_count(r, h_edge_points(r, a, y), "H")
+                            for y in range(y0, y0 + h + 1)] for a in range(x0, x0 + w)]
+    assert vc.tolist() == [[exact_count(r, v_edge_points(r, x, b), "V")
+                            for b in range(y0, y0 + h)] for x in range(x0, x0 + w + 1)]
 
 
 _DIRS = {N: (0, 1), E: (1, 0), S: (0, -1), W: (-1, 0)}
