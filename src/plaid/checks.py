@@ -136,9 +136,7 @@ def check_pet(r: EvenRational) -> tuple[bool, str]:
         covered |= loop.center_set()
     if len(covered) != int(np.count_nonzero(tiling.tiles)):
         return False, "loops do not partition the connector squares"
-    empties = [(a, b) for a in range(r.omega) for b in range(r.omega)
-               if not tiling.tile_bits(a, b)]
-    for sq in empties[:3]:
+    for sq in map(tuple, np.argwhere(tiling.tiles == 0)[:3].tolist()):
         res = pet.orbit(r, sq)
         if not (res.closed and res.period == 0):
             return False, f"empty square {sq} is not a fixed point"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, sqrt
 
 
 class PrecisionError(ValueError):
@@ -204,7 +204,6 @@ class QuadRat:
         return n
 
     def __float__(self) -> float:
-        from math import sqrt
         return (self.a + self.b * sqrt(self.d)) / self.c if self.b else self.a / self.c
 
     def __repr__(self):

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
+from .copying import observed_branch
 from .exactnum import QuadRat, QuadraticTarget, floor_exact, mod_interval
-from .numtheory import EvenRational, tune
+from .numtheory import EvenRational, approximating_sequence, tune
 from .tiling import EDGE_NAMES, TILE_NAMES, tile_bits_at, walk
 
 
@@ -138,6 +140,34 @@ class OrbitResult:
         return [self.start] + [s["square"] for s in self.steps]
 
 
+def _reduce_scaled(om: int, p: int, T: int, U1: int, U2: int):
+    """`reduce_point` on the integers om * (T, U1, U2) at P = 2p/om."""
+    k = (T + 2 * om) // (4 * om)
+    shift = 4 * p * k
+    return (T - 4 * om * k, (U1 - shift + om) % (2 * om) - om,
+            (U2 - shift + om) % (2 * om) - om)
+
+
+def _center_scaled(om: int, p: int, a: int, b: int):
+    """om * classify(P, a + 1/2, b + 1/2) at P = 2p/om."""
+    u1 = 2 * p * (2 * a + 1)
+    return _reduce_scaled(om, p, u1 + (2 * b + 1) * om, u1,
+                          u1 + 2 * p * (2 * b + 1))
+
+
+def _moves_scaled(om: int, p: int) -> dict:
+    """om times each translation of `follow`, by direction."""
+    e = 4 * p
+    return {"S": (-2 * om, 0, -e), "N": (2 * om, 0, e), "E": (e, e, e),
+            "W": (-e, -e, -e), "empty": (0, 0, 0)}
+
+
+def _follow_scaled(om: int, p: int, move: tuple, state: tuple):
+    """`follow` on the scaled state, given the scaled translation ``move``."""
+    return _reduce_scaled(om, p, state[0] + move[0], state[1] + move[1],
+                          state[2] + move[2])
+
+
 def orbit(r: EvenRational, c0: tuple[int, int],
           max_steps: int | None = None) -> OrbitResult:
     """Follow the directed connectors from the square c0, verifying the
@@ -146,31 +176,31 @@ def orbit(r: EvenRational, c0: tuple[int, int],
     The connectors come from the scalar ``tile_bits_at``, so orbits stay an
     independent check of the dense tiles.  Only the rational, zero-offset
     case has decidable region labels (the plaid tiles themselves), and it is
-    the only one followed here.
+    the only one followed here.  Every classifying coordinate of a square
+    center has denominator omega, so the state is held as the integers
+    omega * (T, U1, U2).
     """
-    P = r.big_p
-
-    def center(a, b):
-        return classify(P, Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2))
-
+    om, p = r.omega, r.p
+    moves = _moves_scaled(om, p)
     a0, b0 = c0
     bits = tile_bits_at(r, a0, b0)
-    pt = center(a0, b0)
+    state = _center_scaled(om, p, a0, b0)
     if bits == 0:
         # empty tile: the identity map fixes the point
-        if follow("empty", pt) != pt:
+        if _follow_scaled(om, p, moves["empty"], state) != state:
             raise AssertionError(f"the empty tile at {c0} moves its point")
         return OrbitResult(c0, [], True, 0)
     if max_steps is None:
-        max_steps = 4 * r.omega ** 2
+        max_steps = 4 * om ** 2
     steps = []
     connectors = walk(lambda a, b: tile_bits_at(r, a, b), c0, bits & -bits)
     for _, (edge, (a, b)) in zip(range(max_steps), connectors):
-        pt = follow(EDGE_NAMES[edge], pt)
-        if pt != center(a, b):
+        direction = EDGE_NAMES[edge]
+        state = _follow_scaled(om, p, moves[direction], state)
+        if state != _center_scaled(om, p, a, b):
             raise AssertionError(
                 f"translation dynamics and classifying map disagree at ({a},{b})")
-        steps.append({"dir": EDGE_NAMES[edge], "square": (a, b)})
+        steps.append({"dir": direction, "square": (a, b)})
         if (a, b) == (a0, b0):
             return OrbitResult(c0, steps, True, len(steps))
     return OrbitResult(c0, steps, False, None, truncated=True,
@@ -245,7 +275,6 @@ def reconstruct_fiber_grid(r: EvenRational, t_value, min_samples: int = 10000
     the reconstruction succeeds when some choice of 4 + 4 circular cuts makes
     every cell single-labeled.
     """
-    from itertools import combinations
     P = r.big_p
     t_value = Fraction(t_value) if not isinstance(t_value, QuadRat) else t_value
     om = r.omega
@@ -343,8 +372,6 @@ def limit_experiment(target: QuadraticTarget, epsilon_prefix: tuple[int, ...],
     prefix-selected anchor height, and reports from which chain depth onward
     the window tiling stops changing.
     """
-    from .copying import observed_branch
-    from .numtheory import approximating_sequence
     if depth is None:
         depth = len(epsilon_prefix) + 4
     # grow q_max until the chain supplies enough approximating terms

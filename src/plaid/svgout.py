@@ -8,8 +8,10 @@ by index.
 
 from __future__ import annotations
 
+from .alignment import box_r
 from .numtheory import EvenRational, tune
-from .tiling import PlaidTiling, trace_polygons
+from .tiling import (PlaidTiling, big_polygon, first_block_tiling,
+                     trace_polygons)
 
 _LOOP_COLORS = ("#c22", "#26c", "#2a2", "#a2a", "#c82", "#2aa", "#666", "#b44")
 
@@ -96,8 +98,6 @@ def render_tiling(tiling: PlaidTiling, scale: int = 16,
 def render_copy_overlay(r0: EvenRational, r1: EvenRational, translation: int,
                         scale: int = 12) -> str:
     """The big parameter's first block with the translated small box and arc."""
-    from .copying import box_r
-    from .tiling import big_polygon, first_block_tiling
     tiling = first_block_tiling(r1)
     base = render_tiling(tiling, scale=scale)
     cv = _Canvas(0, 0, r1.omega, r1.omega, scale)

@@ -152,7 +152,6 @@ def test_core_mass_audit_sweep():
 def test_alignment_predicates_all_even_pairs():
     # arithmetic + geometric alignment on the comparison rectangles for
     # every even-predecessor pair with kappa = 0, omega <= 200
-    from plaid.alignment import arithmetic_alignment, sequences
     n = 0
     for r in even_rationals(200, start=5):
         if r.p == 1 or kappa(r).kappa != 0:

@@ -1,12 +1,20 @@
 import random
 from fractions import Fraction
+from functools import cache
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plaid.checks import even_rationals
 from plaid.exactnum import QuadRat, QuadraticTarget
 from plaid.numtheory import EvenRational, tune
-from plaid.pet import (classify, classify_raw, follow, good_offset,
-                       limit_experiment, orbit, reconstruct_fiber_grid,
-                       reduce_point, window_tiles)
-from plaid.tiling import first_block_tiling, trace_polygons
+from plaid.pet import (OrbitResult, _center_scaled, _follow_scaled,
+                       _moves_scaled, _reduce_scaled, classify, classify_raw,
+                       follow, good_offset, limit_experiment, orbit,
+                       reconstruct_fiber_grid, reduce_point, window_tiles)
+from plaid.tiling import (EDGE_NAMES, big_polygon, build_tiling,
+                          first_block_tiling, tile_bits_at, trace_polygons,
+                          walk)
 
 
 GOLDEN = QuadraticTarget(QuadRat(-1, 1, 2, 5))
@@ -70,6 +78,73 @@ def test_good_offset_criterion():
     assert good_offset((0, inq, root2), P) == "undetermined"
 
 
+@cache
+def _fraction_center(P, a, b):
+    return classify(P, Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2))
+
+
+_cached_bits = cache(tile_bits_at)
+_cached_follow = cache(follow)
+
+
+def _fraction_orbit(r, c0, max_steps=None):
+    """The orbit with its state held as Fractions, step for step: the
+    reference for the integer state of `orbit`.  The classifying map, the
+    translations and the connector bits are pure and cached across calls,
+    since the orbits from the squares of one loop repeat the same steps."""
+    P = r.big_p
+    a0, b0 = c0
+    bits = _cached_bits(r, a0, b0)
+    pt = _fraction_center(P, a0, b0)
+    if bits == 0:
+        assert _cached_follow("empty", pt) == pt
+        return OrbitResult(c0, [], True, 0)
+    if max_steps is None:
+        max_steps = 4 * r.omega ** 2
+    steps = []
+    connectors = walk(lambda a, b: _cached_bits(r, a, b), c0, bits & -bits)
+    for _, (edge, (a, b)) in zip(range(max_steps), connectors):
+        pt = _cached_follow(EDGE_NAMES[edge], pt)
+        assert pt == _fraction_center(P, a, b), (a, b)
+        steps.append({"dir": EDGE_NAMES[edge], "square": (a, b)})
+        if (a, b) == (a0, b0):
+            return OrbitResult(c0, steps, True, len(steps))
+    return OrbitResult(c0, steps, False, None, truncated=True,
+                       reason="max_steps reached")
+
+
+def scaled(om, pt):
+    return tuple(om * c for c in pt.coords())
+
+
+@settings(max_examples=200, deadline=None)
+@given(om=st.integers(1, 10 ** 6), data=st.data(),
+       a=st.integers(-10 ** 12, 10 ** 12), b=st.integers(-10 ** 12, 10 ** 12),
+       state=st.tuples(*[st.integers(-10 ** 18, 10 ** 18)] * 3))
+def test_scaled_state_matches_fraction_maps(om, data, a, b, state):
+    # at P = 2p/om the integer state is om times the Fraction state: the
+    # center of every square, every move out of it, and any reduction
+    p = data.draw(st.integers(1, max(1, om - 1)))
+    P = Fraction(2 * p, om)
+    pt = classify(P, Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2))
+    center = _center_scaled(om, p, a, b)
+    assert center == scaled(om, pt)
+    for direction, move in _moves_scaled(om, p).items():
+        assert (_follow_scaled(om, p, move, center)
+                == scaled(om, follow(direction, pt))), direction
+    assert (_reduce_scaled(om, p, *state)
+            == scaled(om, reduce_point(P, *(Fraction(c, om) for c in state))))
+
+
+def test_orbit_matches_fraction_orbit_on_every_square():
+    for r in even_rationals(15):
+        for a in range(r.omega):
+            for b in range(r.omega):
+                for max_steps in (None, 0, 3):
+                    assert (orbit(r, (a, b), max_steps)
+                            == _fraction_orbit(r, (a, b), max_steps)), (r, a, b)
+
+
 def test_orbit_examples():
     r = EvenRational(1, 2)
     tiling = first_block_tiling(r)
@@ -86,7 +161,6 @@ def test_orbit_examples():
 
 
 def test_orbit_5_12_reproduces_big_polygon():
-    from plaid.tiling import big_polygon
     r = EvenRational(5, 12)
     g = big_polygon(r)
     t = tune(r)
@@ -134,7 +208,6 @@ def test_fiber_grid_other_parameters():
 
 def test_window_tiles_matches_dense_tiling():
     r = EvenRational(5, 12)
-    from plaid.tiling import build_tiling
     tiling = build_tiling(r, 0, 17, 0, 17)
     win = window_tiles(r, 8, 8, 5)
     for (da, db), bits in win.items():

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plaid.checks import even_rationals
-from plaid.grid import classify_point
+from plaid.grid import cap_scaled, classify_point, is_light_value, mass_scaled
 from plaid.numtheory import EvenRational, tune
 from plaid.tiling import (E, N, S, W, CoherenceError, _edge_counts, _h_count_scalar,
                           big_polygon, build_tiling, first_block_tiling, good_segments,
@@ -54,7 +54,6 @@ def test_double_counted_midpoint_blocks_edge():
             for u in range(1, 2 * om, 2):
                 a0 = (om * u - 1) // 2
                 cnt = int(h_edges_count(r, y0, a0, a0 + 1)[0])
-                from plaid.grid import cap_scaled, is_light_value, mass_scaled
                 lit = is_light_value(cap_scaled(r, y0),
                                      mass_scaled(r, y0 + r.p * u), om)
                 if lit:
@@ -159,7 +158,6 @@ def test_capacity_crossing_bounds():
         om = r.omega
         tiling = first_block_tiling(r)
         loops = trace_polygons(tiling)
-        from plaid.grid import cap_scaled
         for x in range(1, om):
             k = abs(cap_scaled(r, x))
             for loop in loops:
