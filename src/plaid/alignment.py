@@ -39,9 +39,6 @@ class Rect:
     def height(self) -> int:
         return self.y1 - self.y0
 
-    def as_tuple(self):
-        return (self.x0, self.x1, self.y0, self.y1)
-
 
 def box_r(r: EvenRational) -> Rect:
     """[0, w] x [0, omega] with w = min(tau, omega - 2*tau)."""

@@ -19,8 +19,7 @@ from .alignment import Rect, RectanglePair, box_r, sigma_dimensions
 from .grid import cap_scaled, mass_scaled
 from .numtheory import (EvenRational, core_predecessor, even_predecessor,
                         kappa, pair_kind, predecessor_chain, tune)
-from .tiling import (PlaidPolygon, big_polygon, build_tiling, tile_bits_at,
-                     v_edges_good)
+from .tiling import PlaidPolygon, big_polygon, build_tiling, v_edges_good
 
 
 def box_width_by_scan(r: EvenRational) -> int:
@@ -322,12 +321,12 @@ def _linematch_assertions(chain: list[EvenRational]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Column probes: cheap branch discrimination at any parameter size
+# Column probes: cheap branch discrimination
 # ---------------------------------------------------------------------------
 
-def column_tiles(r: EvenRational, y0: int, y1: int, column: int = 0) -> list[int]:
-    """Edge bitmasks of the squares (column, b) for b in [y0, y1); O(1) each."""
-    return [tile_bits_at(r, column, b) for b in range(y0, y1)]
+# rows per kernel call: its int64 temporaries stay near 0.6 MB at any omega,
+# and a column that differs early stops there
+_COLUMN_ROWS = 1 << 13
 
 
 def observed_branch(r0: EvenRational, r1: EvenRational) -> tuple[str, int]:
@@ -335,14 +334,19 @@ def observed_branch(r0: EvenRational, r1: EvenRational) -> tuple[str, int]:
 
     The copy theorem forces the tiles of the big parameter to reproduce the
     small parameter's first column inside the translated box, so matching the
-    column tiles identifies the realized branch without dense tilings.
+    column tiles identifies the realized branch without tiling whole blocks.
+    The columns come from the dense edge kernel, so omega >= 2**31 raises
+    its OverflowError.
     """
-    src = column_tiles(r0, 0, r0.omega)
+    om0 = r0.omega
     hits = {}
     for branch, t in translation_candidates(r0, r1).items():
-        if t < 0 or t + r0.omega > r1.omega:
+        if t < 0 or t + om0 > r1.omega:
             continue
-        if column_tiles(r1, t, t + r0.omega) == src:
+        if all(np.array_equal(build_tiling(r0, 0, 1, y, y + n).tiles,
+                              build_tiling(r1, 0, 1, t + y, t + y + n).tiles)
+               for y in range(0, om0, _COLUMN_ROWS)
+               for n in [min(_COLUMN_ROWS, om0 - y)]):
             hits[branch] = t
     if not hits:
         raise AssertionError(f"no translation copies the first column of {r0} into {r1}")

@@ -91,11 +91,6 @@ class QuadRat:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, self.c)
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
@@ -225,11 +220,6 @@ def mod_interval(x, period, lo):
     """Reduce x into [lo, lo + period) by subtracting multiples of period."""
     k = floor_exact((x - lo) / period if isinstance(x, QuadRat) else Fraction(x - lo, period))
     return x - k * period
-
-
-def mod2(x):
-    """The representative of x mod 2Z lying in [-1, 1)."""
-    return mod_interval(x, 2, -1)
 
 
 _QUAD_RE = re.compile(r"^quad:\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(\d+)\s*\)$")

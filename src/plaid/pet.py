@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .copying import observed_branch
 from .exactnum import QuadRat, QuadraticTarget, floor_exact, mod_interval
 from .numtheory import EvenRational, approximating_sequence, tune
-from .tiling import EDGE_NAMES, TILE_NAMES, tile_bits_at, walk
+from .tiling import EDGE_NAMES, TILE_NAMES, build_tiling, tile_bits_at, walk
 
 
 @dataclass(frozen=True)
@@ -355,13 +357,10 @@ class LimitReport:
     cluster: list  # developed partial-sum spread
 
 
-def window_tiles(r: EvenRational, cx: int, cy: int, w: int) -> dict:
-    """Tile names of the squares within w of (cx, cy); exact at any size."""
-    out = {}
-    for da in range(-w, w):
-        for db in range(-w, w):
-            out[(da, db)] = tile_bits_at(r, cx + da, cy + db)
-    return out
+def window_tiles(r: EvenRational, cx: int, cy: int, w: int) -> np.ndarray:
+    """Edge bitmasks of the squares (cx + da, cy + db) for da, db in [-w, w),
+    indexed [da + w, db + w]."""
+    return build_tiling(r, cx - w, cx + w, cy - w, cy + w).tiles
 
 
 def limit_experiment(target: QuadraticTarget, epsilon_prefix: tuple[int, ...],
@@ -374,7 +373,9 @@ def limit_experiment(target: QuadraticTarget, epsilon_prefix: tuple[int, ...],
     """
     if depth is None:
         depth = len(epsilon_prefix) + 4
-    # grow q_max until the chain supplies enough approximating terms
+    # grow q_max until the chain supplies enough approximating terms; the
+    # terms kept come from q_max <= 2**26, so omega < 2**27 stays far inside
+    # the dense kernel's int64 range
     q_max = 64
     terms = []
     while len(terms) < depth + 1:
@@ -404,7 +405,7 @@ def limit_experiment(target: QuadraticTarget, epsilon_prefix: tuple[int, ...],
         depths.append(n)
     stable_from = None
     for i in range(len(windows)):
-        if all(windows[j] == windows[i] for j in range(i, len(windows))):
+        if all(np.array_equal(windows[j], windows[i]) for j in range(i, len(windows))):
             stable_from = depths[i]
             break
     # developed binary cluster of the partial sums of the deltas

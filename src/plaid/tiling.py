@@ -162,13 +162,6 @@ class PlaidTiling:
         return [(int(a) + self.x0, int(b) + self.y0) for a, b in zip(xs, ys)]
 
 
-def good_segments(r: EvenRational, square: tuple[int, int]) -> set[str]:
-    """The good edges of one unit square, as a subset of {N, E, S, W}."""
-    a, b = square
-    bits = tile_bits_at(r, a, b)
-    return {name for bit, name in EDGE_NAMES.items() if bits & bit}
-
-
 def tile_bits_at(r: EvenRational, a: int, b: int) -> int:
     """Edge bitmask of the square [a, a+1] x [b, b+1]; scalar exact path."""
     bits = 0
@@ -258,12 +251,13 @@ class PlaidPolygon:
         return frozenset(self.squares)
 
     def x_extent(self) -> tuple[Fraction, Fraction]:
-        """Exact x-range of the drawn curve (centers and crossed edge midpoints)."""
-        xs = [Fraction(2 * a + 1, 2) for a, _ in self.squares]
-        for (a1, b1), (a2, b2) in self._edges():
-            if a1 != a2:  # horizontal step crosses the shared vertical edge
-                xs.append(Fraction(max(a1, a2)))
-        return min(xs), max(xs)
+        """Exact x-range of the drawn curve.
+
+        The curve runs through the square centers; an edge it crosses lies
+        strictly between two of them, so the centers alone set the range.
+        """
+        xs = [a for a, _ in self.squares]
+        return Fraction(2 * min(xs) + 1, 2), Fraction(2 * max(xs) + 1, 2)
 
     def x_diameter(self) -> Fraction:
         lo, hi = self.x_extent()
@@ -365,8 +359,14 @@ def big_polygon(r: EvenRational) -> PlaidPolygon:
     bits_at = _region_bits(first_block_tiling(r))
     if not bits_at(0, y_plus) & S:
         raise AssertionError(f"no loop crosses (1/2, {y_plus}) for {r}")
-    loop = _polygon_through(r, bits_at, (0, y_plus))
-    target = _polygon_through(r, bits_at, min(loop.squares))
+    # The least square (0, b) has no good W edge (x = 0) and no S neighbour
+    # on the loop, so trace_polygons leaves it through N.  The walk from
+    # (0, y_plus) leaves through N or E, so it entered through S.  Both
+    # walks step upwards in column 0, the least x of the loop, and so run
+    # clockwise: rotating the first walk gives trace_polygons' list.
+    loop = _polygon_through(r, bits_at, (0, y_plus)).squares
+    i = loop.index(min(loop))
+    target = PlaidPolygon(r, loop[i:] + loop[:i])
     if target.x_diameter() < Fraction(r.omega ** 2, 2 * r.q) - 1:
         raise AssertionError(f"big polygon of {r} is too narrow")
     mirrored = frozenset((a, r.omega - 1 - b) for a, b in target.squares)

@@ -12,7 +12,7 @@ from plaid.checks import (check_coherence, check_copy, check_hier,
                           check_main, check_omnibus, check_pet, even_rationals)
 from plaid.copying import (eta, observed_branch, verify_box_lemma,
                            verify_copy_theorem)
-from plaid.exactnum import QuadRat, QuadraticTarget, mod_interval
+from plaid.exactnum import QuadRat, QuadraticTarget, floor_exact, mod_interval
 from plaid.numtheory import (EvenRational, approximating_sequence,
                              diophantine_check, predecessor_chain)
 from plaid.pet import classify, follow, limit_experiment
@@ -155,7 +155,6 @@ def test_criterion_10_geodesic():
                   (5, 18), (14, 31), (4, 11), (9, 16))]
     quadratics = [GOLDEN.big_p(), (QuadRat(0, 1, 2, 2) * 2) / (QuadRat(0, 1, 2, 2) + 1)]
     half = Fraction(1, 2)
-    from plaid.exactnum import floor_exact
     for P in rationals + quadratics:
         sums = {0: None, 1: None}  # one developed line per parity class
         for m in range(-1000, 1001):

@@ -8,7 +8,7 @@ import pytest
 from plaid import checks, cli, copying
 from plaid.cli import main
 from plaid.grid import cap_scaled, is_light_value, mass_scaled
-from plaid.numtheory import EvenRational
+from plaid.numtheory import EvenRational, kappa
 from plaid.tiling import _edge_counts, _h_count_scalar
 
 
@@ -208,7 +208,6 @@ def test_sweep_regime_filter(tmp_path):
                 "--filter", "core", "--json", str(out)]) == 0
     data = load_stripped(out)
     assert 0 < data["n_parameters"]
-    from plaid.numtheory import EvenRational, kappa
     for row in data["results"]:
         assert kappa(EvenRational.parse(row["param"])).kappa >= 1
 

@@ -1,19 +1,24 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import plaid
+from plaid.alignment import Rect
 from plaid.checks import even_rationals
 from plaid.copying import (box_r, box_width_by_scan, capacity_two_lines,
-                           connecting_chain, eta, observed_branch, omni2_check,
-                           realize_tree, sigma_core, sigma_weak_strong,
+                           connecting_chain, eta, even_predecessor,
+                           observed_branch, omni2_check, realize_tree,
+                           sigma_core, sigma_weak_strong,
                            translation_candidates, verify_box_lemma,
                            verify_copy_theorem, verify_core_copy,
                            verify_weak_strong_copy)
-from plaid.numtheory import (EvenRational, kappa, predecessor_chain, tune)
+from plaid.numtheory import (EvenRational, kappa, main_identity,
+                             predecessor_chain, tune)
+from plaid.tiling import big_polygon
 
 
 def ER(p, q):
@@ -21,9 +26,9 @@ def ER(p, q):
 
 
 def test_box_r_examples():
-    assert box_r(ER(5, 12)).as_tuple() == (0, 5, 0, 17)
+    assert box_r(ER(5, 12)) == Rect(0, 5, 0, 17)
     assert box_r(ER(7, 18)).x1 == 7  # min(9, 25 - 18)
-    assert box_r(ER(1, 2)).as_tuple() == (0, 1, 0, 3)
+    assert box_r(ER(1, 2)) == Rect(0, 1, 0, 3)
 
 
 def test_box_width_matches_capacity_scan():
@@ -53,14 +58,13 @@ def test_box_invariant_survives_python_O():
 
 def test_sigma_weak_strong_examples():
     pair = sigma_weak_strong(ER(2, 5), ER(5, 12))
-    assert pair.sigma_prime.as_tuple() == (0, 2, 0, 7) and pair.xi == 0
+    assert pair.sigma_prime == Rect(0, 2, 0, 7) and pair.xi == 0
     pair = sigma_weak_strong(ER(5, 12), ER(12, 29))
-    assert pair.sigma_prime.as_tuple() == (0, 5, 0, 17)
+    assert pair.sigma_prime == Rect(0, 5, 0, 17)
     # a weak pair gets its top clipped
     weak = next(r for r in even_rationals(40, start=5)
                 if r.p > 1 and kappa(r).kappa == 0
                 and 4 * tune(r).tau < r.omega)
-    from plaid.copying import even_predecessor
     prev = even_predecessor(weak)
     pair = sigma_weak_strong(prev, weak)
     tp, omp = tune(prev).tau, prev.omega
@@ -72,8 +76,8 @@ def test_sigma_weak_strong_examples():
 def test_sigma_core_examples():
     pair = sigma_core(ER(3, 8), ER(7, 18))
     assert pair.xi == 7
-    assert pair.sigma_prime.as_tuple() == (0, 2, 0, 11)
-    assert pair.sigma.as_tuple() == (0, 2, 7, 18)
+    assert pair.sigma_prime == Rect(0, 2, 0, 11)
+    assert pair.sigma == Rect(0, 2, 7, 18)
     # nocross: the shifted box fits inside the big parameter's box
     assert pair.sigma_prime.width <= box_r(ER(7, 18)).x1
     with pytest.raises(ValueError):
@@ -96,7 +100,6 @@ def test_copy_lemma_examples():
 
 
 def test_main_identity_scope():
-    from plaid.numtheory import main_identity
     assert main_identity(ER(7, 18))   # 3*7 + 2*2 == 25
     assert main_identity(ER(5, 12))   # vacuous, kappa = 0
     assert main_identity(ER(1, 2))    # out of scope, p = 1
@@ -183,9 +186,6 @@ def test_anchor_clusters_realized_on_traced_polygons():
     # the composed copy translations predict a binary cluster of column-0
     # crossing heights; every predicted anchor (and its mirror) must appear
     # on the traced polygon of the chain's last approximating term
-    from itertools import combinations
-    from plaid.numtheory import tune
-    from plaid.tiling import big_polygon
     gammas = {}
     checked = 0
     for r in even_rationals(60):
@@ -209,6 +209,17 @@ def test_anchor_clusters_realized_on_traced_polygons():
         assert pred <= gammas[target], (str(r), str(target))
         checked += 1
     assert checked > 200
+
+
+def test_observed_branch_raises_beyond_the_int64_guard():
+    # the columns come from the dense kernel, which refuses omega >= 2**31
+    small, huge, huger = ER(1, 2), ER(2, 2 ** 31 + 1), ER(4, 2 ** 32 + 1)
+    for r0, r1 in ((small, huge), (huge, huger)):
+        # some candidate fits, so the probe reaches the kernel
+        assert any(0 <= t <= r1.omega - r0.omega
+                   for t in translation_candidates(r0, r1).values())
+        with pytest.raises(OverflowError, match="int64"):
+            observed_branch(r0, r1)
 
 
 def test_translation_candidates():

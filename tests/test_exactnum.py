@@ -5,7 +5,7 @@ from math import floor, sqrt
 import pytest
 
 from plaid.exactnum import (CFTarget, PrecisionError, QuadRat, QuadraticTarget,
-                            mod2, mod_interval, parse_irrational)
+                            mod_interval, parse_irrational)
 
 
 GOLDEN = QuadRat(-1, 1, 2, 5)  # (sqrt(5) - 1) / 2
@@ -22,7 +22,7 @@ def test_basic_arithmetic():
 
 def test_square_radicand_folds_to_rational():
     x = QuadRat(1, 3, 2, 4)  # (1 + 3*2)/2
-    assert x.is_rational and x.as_fraction() == Fraction(7, 2)
+    assert x.is_rational and x == QuadRat.from_rational(Fraction(7, 2))
 
 
 def test_comparisons_against_float_reference():
@@ -49,11 +49,11 @@ def test_floor_exact():
 
 
 def test_mod2_interval():
-    assert mod2(Fraction(7, 2)) == Fraction(-1, 2)
-    assert mod2(Fraction(-1)) == -1
-    assert mod2(Fraction(1)) == -1  # right-open interval
+    assert mod_interval(Fraction(7, 2), 2, -1) == Fraction(-1, 2)
+    assert mod_interval(Fraction(-1), 2, -1) == -1
+    assert mod_interval(Fraction(1), 2, -1) == -1  # right-open interval
     x = GOLDEN * 16
-    r = mod2(x)
+    r = mod_interval(x, 2, -1)
     assert -1 <= r < 1 and ((x - r) / 2).is_rational
 
 

@@ -9,7 +9,7 @@ from plaid.numtheory import (ZERO, EvenRational, approximating_sequence,
                              core_predecessor, diophantine_check,
                              even_predecessor, kappa, main_identity,
                              pair_kind, predecessor, predecessor_chain,
-                             stern_brocot_path, tune, verify_omnibus)
+                             stern_brocot_path, theta, tune, verify_omnibus)
 
 
 def brute_tune(r):
@@ -80,7 +80,6 @@ def test_kappa_bracket_property():
 
 
 def test_theta_values():
-    from plaid.numtheory import theta
     assert theta(EvenRational(12, 29)) == 7   # 288 = 7*41 + 1
     assert theta(EvenRational(5, 12)) == 3    # 50 = 3*17 - 1
     assert theta(EvenRational(7, 18)) == 5    # 126 = 5*25 + 1

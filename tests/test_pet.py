@@ -2,17 +2,19 @@ import random
 from fractions import Fraction
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plaid import pet
 from plaid.checks import even_rationals
 from plaid.exactnum import QuadRat, QuadraticTarget
-from plaid.numtheory import EvenRational, tune
+from plaid.numtheory import EvenRational, approximating_sequence, tune
 from plaid.pet import (OrbitResult, _center_scaled, _follow_scaled,
                        _moves_scaled, _reduce_scaled, classify, classify_raw,
                        follow, good_offset, limit_experiment, orbit,
-                       reconstruct_fiber_grid, reduce_point, window_tiles)
-from plaid.tiling import (EDGE_NAMES, big_polygon, build_tiling,
+                       reconstruct_fiber_grid, reduce_point)
+from plaid.tiling import (_MAX_OMEGA, EDGE_NAMES, big_polygon, build_tiling,
                           first_block_tiling, tile_bits_at, trace_polygons,
                           walk)
 
@@ -206,14 +208,6 @@ def test_fiber_grid_other_parameters():
         assert rep.grid_ok, (pq, rep.reason)
 
 
-def test_window_tiles_matches_dense_tiling():
-    r = EvenRational(5, 12)
-    tiling = build_tiling(r, 0, 17, 0, 17)
-    win = window_tiles(r, 8, 8, 5)
-    for (da, db), bits in win.items():
-        assert bits == tiling.tile_bits(8 + da, 8 + db)
-
-
 def test_limit_experiment_prefixes_differ():
     rep0 = limit_experiment(GOLDEN, (0, 0), window=4, depth=4)
     rep1 = limit_experiment(GOLDEN, (1, 0), window=4, depth=4)
@@ -223,6 +217,26 @@ def test_limit_experiment_prefixes_differ():
     # deltas shrink along the chain
     mags = [abs(d) for d in rep0.deltas]
     assert all(a > b for a, b in zip(mags, mags[1:]))
+
+
+def test_limit_experiment_terms_stay_below_int64_guard(monkeypatch):
+    # the probes raise at omega >= 2**31; every chain whose terms the
+    # experiment can keep comes from q_max <= 64 * 4**10 = 2**26, and its
+    # terms have p < q <= q_max, so omega < 2**27
+    seen = []
+
+    def recording(target, q_max):
+        chain = approximating_sequence(target, q_max)
+        seen.append((q_max, max(t.omega for t in chain.terms)))
+        return chain
+
+    monkeypatch.setattr(pet, "approximating_sequence", recording)
+    with pytest.raises(ValueError, match="unreachable"):
+        limit_experiment(GOLDEN, (), depth=10 ** 3)
+    kept = seen[:-1]  # the raise drops the last chain
+    assert kept[-1][0] == 2 ** 26
+    assert all(om < 2 * q_max for q_max, om in seen)
+    assert max(om for _, om in kept) < 2 ** 27 < _MAX_OMEGA
 
 
 def test_limit_experiment_empty_prefix_baseline():

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from plaid.checks import even_rationals
 from plaid.grid import cap_scaled, classify_point, is_light_value, mass_scaled
 from plaid.numtheory import EvenRational, tune
-from plaid.tiling import (E, N, S, W, CoherenceError, _edge_counts, _h_count_scalar,
-                          big_polygon, build_tiling, first_block_tiling, good_segments,
-                          h_edges_count, h_edges_good, tile_bits_at, trace_polygons,
-                          v_edges_good)
+from plaid.pet import window_tiles
+from plaid.tiling import (E, N, S, W, TILE_NAMES, CoherenceError, _edge_counts,
+                          _h_count_scalar, big_polygon, build_tiling,
+                          first_block_tiling, h_edges_count, h_edges_good,
+                          tile_bits_at, trace_polygons, v_edges_good)
 
 
 def test_boundary_edges_never_good():
@@ -38,10 +39,10 @@ def test_first_block_census_1_2():
     assert sum(len(loop) for loop in loops) == int(np.count_nonzero(tiling.tiles))
 
 
-def test_good_segments_interface():
+def test_tile_names_of_single_squares():
     r = EvenRational(1, 2)
-    assert good_segments(r, (0, 0)) == {"N", "E"}
-    assert len(good_segments(r, (1, 1))) in (0, 2)
+    assert TILE_NAMES[tile_bits_at(r, 0, 0)] == "NE"
+    assert len(TILE_NAMES[tile_bits_at(r, 1, 1)]) in (0, 2)
 
 
 def test_double_counted_midpoint_blocks_edge():
@@ -233,6 +234,22 @@ def test_thin_rectangles_match_scalar_oracle(r, x0, y0, w, h):
     assert_matches_scalar_oracle(r, x0, x0 + w, y0, y0 + h, squares)
 
 
+@settings(max_examples=60, deadline=None)
+@given(r=even_rational(10 ** 6), k=st.integers(-10 ** 6, 10 ** 6),
+       dx=st.just(0) | ORIGINS, y0=ORIGINS, h=st.integers(0, 300),
+       cx=ORIGINS, cy=ORIGINS, w=st.integers(0, 6))
+@example(r=EvenRational(5, 12), k=0, dx=0, y0=0, h=17, cx=8, cy=8, w=5)
+def test_column_and_window_probes_match_scalar_oracle(r, k, dx, y0, h, cx, cy, w):
+    # observed_branch reads single columns, x = 0 mod omega among them, and
+    # limit_experiment square windows, both through build_tiling
+    x = k * r.omega + dx
+    assert (build_tiling(r, x, x + 1, y0, y0 + h).tiles[0].tolist()
+            == [tile_bits_at(r, x, b) for b in range(y0, y0 + h)])
+    assert (window_tiles(r, cx, cy, w).tolist()
+            == [[tile_bits_at(r, cx + da, cy + db) for db in range(-w, w)]
+                for da in range(-w, w)])
+
+
 def exact_count(r, points, axis):
     """Light points of one closed edge by the exact oracle: 2 for a double
     counted point, 1 for any other light point, 0 for a dark one."""
@@ -278,7 +295,8 @@ _DIRS = {N: (0, 1), E: (1, 0), S: (0, -1), W: (-1, 0)}
 
 def assert_traced(tiling, loops):
     """Every nonempty square lies on exactly one path, consecutive squares
-    share a good edge, and open paths end on the region boundary."""
+    share a good edge, open paths end on the region boundary, and each
+    path's x_extent spans its drawn curve."""
     (w, h), x0, y0 = tiling.shape, tiling.x0, tiling.y0
 
     def links(square):
@@ -292,8 +310,13 @@ def assert_traced(tiling, loops):
     assert sorted(sq for lp in loops for sq in lp.squares) == tiling.nonempty_squares()
     for lp in loops:
         sq = lp.squares
-        for s, t in zip(sq, sq[1:] + sq[:1] if lp.closed else sq[1:]):
+        steps = list(zip(sq, sq[1:] + sq[:1] if lp.closed else sq[1:]))
+        for s, t in steps:
             assert t in links(s) and s in links(t)
+        # the drawn curve: the centers and the vertical edges it crosses
+        xs = [Fraction(2 * a + 1, 2) for a, _ in sq]
+        xs += [Fraction(max(s[0], t[0])) for s, t in steps if s[0] != t[0]]
+        assert lp.x_extent() == (min(xs), max(xs))
         if not lp.closed:
             for end, nxt in ((sq[0], sq[1:2]), (sq[-1], sq[-2:-1])):
                 assert all(not inside(*n) for n in links(end) if n not in nxt)
