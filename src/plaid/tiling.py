@@ -12,12 +12,21 @@ capacities and masses repeat with period omega, so one kernel counts all
 edges of a rectangle from the period table L[line mod omega, intercept mod
 omega].  A vertical edge reads two cyclic windows of one row of L; a
 horizontal edge reads its P and Q crossings, a corner going to the edge on
-its right for P and on its left for Q.  The kernel works on whole lines,
-_BLOCK elements at a time, and reduces every coordinate mod omega before it
-multiplies, so its int64 products stay below 2 * omega**2.  Rectangles
-smaller than the table evaluate L entry by entry.  The tests pit it
-against two oracles: the scalar ``tile_bits_at``, and ``grid.classify_point``,
-which shares no formula with it.
+its right for P and on its left for Q.  The kernel reduces every coordinate
+mod omega before it multiplies, so its int64 products stay below
+2 * omega**2.
+
+When L is no larger than the output, each line is copied from contiguous row
+windows instead of entry by entry.  The rows of L hold two periods, so the
+two windows of a vertical line are slices of its row, all taken through one
+strided view.  The sheared table D[t, y] = L[y, y + t] turns every
+horizontal line into a column of D, so a horizontal edge adds two rows of D,
+and so does the P/Q check at a double point.  Every line repeats with period
+omega in y, so a taller rectangle reads one period and repeats it.  Smaller
+rectangles evaluate L entry by entry.  Both paths work on whole lines,
+_BLOCK elements at a time.  The tests pit the kernel against two oracles:
+the scalar ``tile_bits_at``, and ``grid.classify_point``, which shares no
+formula with it.
 
 One connector walk, ``walk``, steps from square to square across good
 edges; loop tracing, the big polygon and the PET orbits all use it.
@@ -29,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .grid import cap_scaled, is_light_value, mass_scaled
 from .numtheory import EvenRational, tune
@@ -50,34 +60,89 @@ class CoherenceError(AssertionError):
     """A unit square with an odd number of good edges: model violation."""
 
 
-_BLOCK = 1 << 18  # elements per block of lines: int64 temporaries near 2 MB
+_BLOCK = 1 << 18  # elements per block of lines: _light holds four int64 arrays of 2 MB at most
 _MAX_OMEGA = 1 << 31  # keeps the kernel's products, all below 2 * omega**2, in int64
 
 
 def _light(r: EvenRational, n: np.ndarray, j: np.ndarray) -> np.ndarray:
     """``is_light_value`` on the capacity lines at residues 0 <= n < omega,
-    against the negative-slope lines through (0, j) for 0 <= j < 2*omega."""
+    against the negative-slope lines through (0, j) for 0 <= j < 2*omega.
+
+    With c = 4pn mod 2*omega and m = 2pj + omega mod 2*omega, the light test
+    M*C > 0, |M| < |C| reads 0 < m < c for C > 0 and c < m < 2*omega for
+    C < 0, and no m passes for C = 0.  Both are reduced in place, so beside
+    j the test holds three int64 arrays: the bounds, of the shape of n, and
+    m, of the shape of j."""
     om = r.omega
-    C = (4 * r.p * n) % (2 * om)
-    C = np.where(C > om, C - 2 * om, C)
-    M = (2 * r.p * j + om) % (2 * om)
-    M = np.where(M > om, M - 2 * om, M)
-    return (M != om) & (np.abs(M) < np.abs(C)) & (M * C > 0)
+    lo = np.multiply(n, 4 * r.p)
+    lo %= 2 * om
+    hi = np.where(lo < om, lo, 2 * om)
+    lo[lo < om] = 0
+    m = np.multiply(j, 2 * r.p)
+    m += om
+    m %= 2 * om
+    return (m > lo) & (m < hi)
 
 
-def _pair_counts(r: EvenRational, table, n, s1, s2, c1, c2) -> np.ndarray:
+def _pair_counts(r: EvenRational, n, s1, s2, c1, c2) -> np.ndarray:
     """out[i, e] = L[n_i, s1_i + c1_e] + L[n_i, s2_i + c2_e] for arguments in
-    [0, omega), one block of lines at a time.  ``table`` is L with rows of
-    length 2*omega, flattened, or None to evaluate L entry by entry."""
+    [0, omega), evaluated entry by entry, one block of lines at a time."""
     out = np.empty((n.size, c1.size), dtype=np.int8)
     step = max(1, _BLOCK // max(1, c1.size))
     for i in range(0, n.size, step):
         blk = slice(i, i + step)
-        lit = [_light(r, n[blk, None], s[blk, None] + c) if table is None
-               else table[(n[blk] * (2 * r.omega) + s[blk])[:, None] + c]
-               for s, c in ((s1, c1), (s2, c2))]
+        lit = [_light(r, n[blk, None], s[blk, None] + c) for s, c in ((s1, c1), (s2, c2))]
         np.add(*lit, out=out[blk], dtype=np.int8)
     return out
+
+
+def _row_sums(table: np.ndarray, i1, i2, length: int) -> np.ndarray:
+    """out[k, b] = table[i1_k, c] + table[i2_k, c] in int8, c = b mod the
+    width of ``table``, for 0 <= b < length; one block of rows at a time."""
+    lines, width = i1.size, table.shape[1]
+    out = np.empty((lines, length), dtype=np.int8)
+    step = max(1, _BLOCK // max(1, width))
+    for i in range(0, lines, step):
+        blk = slice(i, i + step)
+        np.add(table[i1[blk]], table[i2[blk]], out=out[blk, :width])
+    if width < length:
+        reps, rest = divmod(length, width)
+        out[:, width:reps * width].reshape(lines, reps - 1, width)[...] = out[:, None, :width]
+        out[:, reps * width:] = out[:, :rest]
+    return out
+
+
+def _vertical_witnesses(r: EvenRational, x0: int, x1: int):
+    """Residue n of each vertical line x0 <= x <= x1, and the intercepts
+    b + f + 1 and b - f + 2x of its two witnesses at b = 0, mod omega, where
+    f = floor(2px/omega)."""
+    om, p = r.omega, r.p
+    k, n = np.divmod(np.arange(x0, x1 + 1, dtype=np.int64), om)
+    f = 2 * p * (k % om) + 2 * p * n // om
+    return n, (f + 1) % om, (2 * n - f) % om
+
+
+def _horizontal_witnesses(r: EvenRational, x0: int, x1: int):
+    """Intercept offsets t1, t2 of the two crossings of each edge [a, a+1],
+    x0 <= a < x1, and pu, qu of the P and Q lines through each double point,
+    all mod omega.
+
+    Edge a holds the P crossings omega*t/(2p) in [a, a+1) and the Q crossings
+    omega*t/(2q) in (a, a+1] with the lines through (0, y + t), two in all,
+    so a midpoint counts twice and a corner once on each side.  Offsets are
+    taken from the block of x0, so that every product stays below
+    2 * omega**2.  The P and Q lines through a double point x = omega*u/2
+    must agree."""
+    om, p, q = r.omega, r.p, r.q
+    k0, r0 = divmod(x0, om)
+    m, rho = np.divmod(np.arange(r0, r0 + x1 - x0 + 1, dtype=np.int64), om)
+    tp = 2 * p * m - (-2 * p * rho) // om + 2 * p * k0 % om
+    tq = 2 * q * m + 2 * q * rho // om + 1 + 2 * q * k0 % om
+    has_p = np.diff(tp) == 1
+    tp, tq = tp[:-1] % om, tq[:-1] % om
+    u = np.arange(-(-2 * x0 // om), 2 * x1 // om + 1, dtype=np.int64) % om
+    return (np.where(has_p, tp, tq), np.where(has_p, tq, (tq + 1) % om),
+            p * u % om, q * u % om)
 
 
 def _edge_counts(r: EvenRational, x0: int, x1: int, y0: int, y1: int):
@@ -86,38 +151,37 @@ def _edge_counts(r: EvenRational, x0: int, x1: int, y0: int, y1: int):
     Returns int8 arrays (h, v): h[a - x0, y - y0] counts the horizontal edge
     [a, a+1] x {y}, v[x - x0, b - y0] the vertical edge {x} x [b, b+1].
     """
-    om, p, q = r.omega, r.p, r.q
+    om = r.omega
     if om >= _MAX_OMEGA:
         raise OverflowError(f"omega = {om} is too large for the int64 edge kernel")
     w, h = x1 - x0, y1 - y0
-    table = None
-    if 2 * om * om <= (w + 1) * h + w * (h + 1):  # no larger than its output
-        table = _light(r, np.arange(om)[:, None], np.arange(2 * om)).view(np.int8).ravel()
-    # vertical line x: witnesses b + f + 1 and b - f + 2x, f = floor(2px/omega)
-    k, n = np.divmod(np.arange(x0, x1 + 1, dtype=np.int64), om)
-    f = 2 * p * (k % om) + 2 * p * n // om
-    col = (y0 % om + np.arange(h, dtype=np.int64)) % om
-    v = _pair_counts(r, table, n, (f + 1) % om, (2 * n - f) % om, col, col)
-    # horizontal line y: edge a holds the P crossings omega*t/(2p) in [a, a+1)
-    # and the Q crossings omega*t/(2q) in (a, a+1] with the lines through
-    # (0, y + t), two in all, so a midpoint counts twice and a corner once
-    # on each side.  Offsets are taken from the block of x0, so that every
-    # product stays below 2 * omega**2.
-    k0, r0 = divmod(x0, om)
-    m, rho = np.divmod(np.arange(r0, r0 + w + 1, dtype=np.int64), om)
-    tp = 2 * p * m - (-2 * p * rho) // om + 2 * p * k0 % om
-    tq = 2 * q * m + 2 * q * rho // om + 1 + 2 * q * k0 % om
-    has_p = np.diff(tp) == 1
-    tp, tq = tp[:-1] % om, tq[:-1] % om
-    ys = np.arange(y0, y1 + 1, dtype=np.int64) % om
-    # the P and Q lines through a double point x = omega*u/2 must agree
-    u = np.arange(-(-2 * x0 // om), 2 * x1 // om + 1, dtype=np.int64) % om
-    odd = (_pair_counts(r, table, ys, ys, ys, p * u % om, q * u % om) == 1).any(axis=1)
+    n, s1, s2 = _vertical_witnesses(r, x0, x1)
+    t1, t2, pu, qu = _horizontal_witnesses(r, x0, x1)
+    if 2 * om * om <= (w + 1) * h + w * (h + 1):  # the table is no larger than its output
+        # one period of each line, copied from windows of omega entries of
+        # L, whose rows hold two periods so that every window is contiguous
+        L = _light(r, np.arange(om)[:, None], np.arange(om)).view(np.int8)
+        L = np.concatenate((L, L), axis=1).ravel()
+        windows = as_strided(L, (L.size - om + 1, om), L.strides * 2, writeable=False)
+        row = n * (2 * om)
+        v = _row_sums(windows[:, :min(h, om)], row + (s1 + y0) % om,
+                      row + (s2 + y0) % om, h)
+        # the sheared table D[t, i] = L[y_i, y_i + t] for the lines
+        # y_i = y0 + i of one period: column i is the window of row y_i at
+        # y_i, and rows t1_a + t2_a of D give edge a in (x, y) layout
+        ys = (y0 + np.arange(min(h + 1, om), dtype=np.int64)) % om
+        D = np.ascontiguousarray(windows[ys * (2 * om + 1)].T)
+        hc = _row_sums(D, t1, t2, h + 1)
+        odd = (_row_sums(D, pu, qu, D.shape[1]) == 1).any(axis=0)
+    else:
+        col = (y0 % om + np.arange(h, dtype=np.int64)) % om
+        v = _pair_counts(r, n, s1, s2, col, col)
+        ys = np.arange(y0, y1 + 1, dtype=np.int64) % om
+        hc = np.ascontiguousarray(_pair_counts(r, ys, ys, ys, t1, t2).T)
+        odd = (_pair_counts(r, ys, ys, ys, pu, qu) == 1).any(axis=1)
     if odd.any():
         raise CoherenceError(f"P/Q witness mismatch on line y={y0 + int(np.argmax(odd))}")
-    hc = _pair_counts(r, table, ys, ys, ys, np.where(has_p, tp, tq),
-                      np.where(has_p, tq, (tq + 1) % om))
-    return np.ascontiguousarray(hc.T), v
+    return hc, v
 
 
 def v_edges_good(r: EvenRational, x0: int, b0: int, b1: int) -> np.ndarray:

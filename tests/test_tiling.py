@@ -225,6 +225,47 @@ def test_wide_rectangles_match_scalar_oracle(r, x0, y0, data):
     assert_matches_scalar_oracle(r, x0, x0 + w, y0, y0 + h, squares)
 
 
+def reads_table(r, w, h):
+    """The kernel's own rule: the period table is read when it is no larger
+    than the output of a w x h rectangle."""
+    return 2 * r.omega ** 2 <= (w + 1) * h + w * (h + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=even_rational(15), x0=ORIGINS, y0=ORIGINS, data=st.data())
+def test_table_path_matches_entry_path(r, x0, y0, data):
+    # each line of a rectangle that reads the table, read again alone or on a
+    # short sub-range, which evaluates L entry by entry
+    om = r.omega
+    h = data.draw(st.integers(1, 2 * om * om - 1), label="height")
+    w_min = max(0, -(-(2 * om * om - h) // (2 * h + 1)))
+    w = data.draw(st.integers(w_min, w_min + 40), label="width")
+    x1, y1 = x0 + w, y0 + h
+    assert reads_table(r, w, h) and not reads_table(r, 0, h)
+    hc, vc = _edge_counts(r, x0, x1, y0, y1)
+    assert (hc.dtype, hc.shape, vc.dtype, vc.shape) == (np.int8, (w, h + 1), np.int8, (w + 1, h))
+    for x in range(x0, x1 + 1):
+        assert np.array_equal(vc[x - x0], _edge_counts(r, x, x, y0, y1)[1][0]), x
+    if w == 0:
+        return
+    for y in range(y0, y1 + 1):
+        a = data.draw(st.integers(x0, x1 - 1), label="a")
+        b = data.draw(st.integers(a + 1, min(x1, a + 2 * om * om - 1)), label="b")
+        assert not reads_table(r, b - a, 0)
+        assert np.array_equal(hc[a - x0:b - x0, y - y0], h_edges_count(r, y, a, b)), y
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=even_rational(15), x0=ORIGINS, y0=ORIGINS, w=st.integers(1, 2), data=st.data())
+def test_tall_table_path_rectangles_match_scalar_oracle(r, x0, y0, w, data):
+    # up to 3 * omega^2 high, so every line repeats its period many times
+    om = r.omega
+    h = data.draw(st.integers(-(-(2 * om * om - w) // (2 * w + 1)), 3 * om * om), label="height")
+    assert reads_table(r, w, h)
+    squares = [(a, b) for a in range(x0, x0 + w) for b in range(y0, y0 + h)]
+    assert_matches_scalar_oracle(r, x0, x0 + w, y0, y0 + h, squares)
+
+
 @settings(max_examples=40, deadline=None)
 @given(r=even_rational(10 ** 6), x0=ORIGINS, y0=ORIGINS,
        w=st.integers(0, 6), h=st.integers(0, 6))
