@@ -22,7 +22,7 @@ import numpy as np
 from .copying import observed_branch
 from .exactnum import QuadRat, QuadraticTarget, floor_exact, mod_interval
 from .numtheory import EvenRational, approximating_sequence, tune
-from .tiling import EDGE_NAMES, TILE_NAMES, build_tiling, tile_bits_at, walk
+from .tiling import EDGE_NAMES, TILE_NAMES, build_tiling, scalar_oracle, walk
 
 
 @dataclass(frozen=True)
@@ -175,17 +175,18 @@ def orbit(r: EvenRational, c0: tuple[int, int],
     """Follow the directed connectors from the square c0, verifying the
     translation dynamics against the classifying map at every step.
 
-    The connectors come from the scalar ``tile_bits_at``, so orbits stay an
-    independent check of the dense tiles.  Only the rational, zero-offset
-    case has decidable region labels (the plaid tiles themselves), and it is
-    the only one followed here.  Every classifying coordinate of a square
-    center has denominator omega, so the state is held as the integers
-    omega * (T, U1, U2).
+    The connectors come from ``scalar_oracle(r)``, built once per orbit, so
+    orbits stay an independent check of the dense tiles.  Only the rational,
+    zero-offset case has decidable region labels (the plaid tiles
+    themselves), and it is the only one followed here.  Every classifying
+    coordinate of a square center has denominator omega, so the state is
+    held as the integers omega * (T, U1, U2).
     """
     om, p = r.omega, r.p
     moves = _moves_scaled(om, p)
+    bits_at = scalar_oracle(r)
     a0, b0 = c0
-    bits = tile_bits_at(r, a0, b0)
+    bits = bits_at(a0, b0)
     state = _center_scaled(om, p, a0, b0)
     if bits == 0:
         # empty tile: the identity map fixes the point
@@ -195,7 +196,7 @@ def orbit(r: EvenRational, c0: tuple[int, int],
     if max_steps is None:
         max_steps = 4 * om ** 2
     steps = []
-    connectors = walk(lambda a, b: tile_bits_at(r, a, b), c0, bits & -bits)
+    connectors = walk(bits_at, c0, bits & -bits)
     for _, (edge, (a, b)) in zip(range(max_steps), connectors):
         direction = EDGE_NAMES[edge]
         state = _follow_scaled(om, p, moves[direction], state)
@@ -280,6 +281,7 @@ def reconstruct_fiber_grid(r: EvenRational, t_value, min_samples: int = 10000
     P = r.big_p
     t_value = Fraction(t_value) if not isinstance(t_value, QuadRat) else t_value
     om = r.omega
+    bits_at = scalar_oracle(r)
     points: dict[tuple, str] = {}
     half = Fraction(1, 2)
     # the reduced image is (omega^2, omega)-periodic in the center grid, so a
@@ -290,7 +292,7 @@ def reconstruct_fiber_grid(r: EvenRational, t_value, min_samples: int = 10000
             pt = classify(P, a + half, b + half)
             if pt.T != t_value:
                 continue
-            label = TILE_NAMES[tile_bits_at(r, a, b)] or "empty"
+            label = TILE_NAMES[bits_at(a, b)] or "empty"
             key = (pt.U1, pt.U2)
             if key in points and points[key] != label:
                 raise AssertionError(

@@ -24,9 +24,14 @@ horizontal line into a column of D, so a horizontal edge adds two rows of D,
 and so does the P/Q check at a double point.  Every line repeats with period
 omega in y, so a taller rectangle reads one period and repeats it.  Smaller
 rectangles evaluate L entry by entry.  Both paths work on whole lines,
-_BLOCK elements at a time.  The tests pit the kernel against two oracles:
-the scalar ``tile_bits_at``, and ``grid.classify_point``, which shares no
-formula with it.
+_BLOCK elements at a time.  The tests pit the kernel against two oracles,
+neither of which shares a formula with it: ``grid.classify_point``, and the
+scalar ``scalar_oracle(r)``.
+
+``scalar_oracle(r)`` returns ``bits_at(a, b)``, a closure over the constants
+of r that enumerates the crossings of each edge of one square and tests them
+for lightness inline.  The PET orbits and the fiber reconstruction build it
+once and read every square from it; ``tile_bits_at`` is one call of it.
 
 One connector walk, ``walk``, steps from square to square across good
 edges; loop tracing, the big polygon and the PET orbits all use it.
@@ -40,7 +45,6 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .grid import cap_scaled, is_light_value, mass_scaled
 from .numtheory import EvenRational, tune
 
 # edge bits
@@ -226,55 +230,106 @@ class PlaidTiling:
         return [(int(a) + self.x0, int(b) + self.y0) for a, b in zip(xs, ys)]
 
 
-def tile_bits_at(r: EvenRational, a: int, b: int) -> int:
-    """Edge bitmask of the square [a, a+1] x [b, b+1]; scalar exact path."""
-    bits = 0
-    if _h_count_scalar(r, b + 1, a) == 1:
-        bits |= N
-    if _h_count_scalar(r, b, a) == 1:
-        bits |= S
-    if _v_good_scalar(r, a, b):
-        bits |= W
-    if _v_good_scalar(r, a + 1, b):
-        bits |= E
-    n = bin(bits).count("1")
-    if n not in (0, 2):
-        raise CoherenceError(f"square ({a},{b}) of {r} has {n} good edges")
-    return bits
+def _scalar_edges(r: EvenRational):
+    """The scalar edge oracle of r: ``(h_count, v_good)``.
 
-
-def _v_good_scalar(r: EvenRational, x0: int, b: int) -> bool:
-    om = r.omega
-    if x0 % om == 0:
-        return False
-    C = cap_scaled(r, x0)
-    f = (2 * r.p * x0) // om
-    cnt = int(is_light_value(C, mass_scaled(r, b + f + 1), om))
-    cnt += int(is_light_value(C, mass_scaled(r, (b - f) + 2 * x0), om))
-    return cnt == 1
-
-
-def _h_count_scalar(r: EvenRational, y0: int, a: int) -> int:
+    ``h_count(y, a)`` is the light-point count of the horizontal edge
+    [a, a+1] x {y}, ``v_good(x, b)`` the goodness of the vertical edge
+    {x} x [b, b+1].  Both close over the constants of r and enumerate the
+    crossings of the one edge they are asked about.  With C the scaled
+    capacity of the edge's line and M the scaled mass of a negative-slope
+    line, in (-omega, omega) and (-omega, omega], the crossing is light when
+    0 < M < C or C < M < 0; an inert line (M = omega) never passes.
+    """
     om, p, q = r.omega, r.p, r.q
-    C = cap_scaled(r, y0)
-    if C == 0:
-        return 0
-    cnt = 0
-    for den, step in ((2 * p, p), (2 * q, q)):
-        tlo = -((-den * a) // om)
-        thi = (den * (a + 1)) // om
-        for t in range(tlo, thi + 1):
-            if t % step == 0:
-                continue  # shared double points handled below
-            if is_light_value(C, mass_scaled(r, y0 + t), om):
+    om2, p2, q2, p4 = 2 * om, 2 * p, 2 * q, 4 * p
+    pp2 = p * p2
+
+    def h_count(y: int, a: int) -> int:
+        C = p4 * y % om2
+        if C > om:
+            C -= om2
+        if C == 0:
+            return 0
+        base = p2 * y + om  # M of the line through (0, y + t) is base + 2pt, reduced
+        cnt = 0
+        # P crossings omega*t/(2p) in [a, a+1], double points left out
+        for t in range(-(-p2 * a // om), p2 * (a + 1) // om + 1):
+            if t % p:
+                M = (base + p2 * t) % om2
+                if M > om:
+                    M -= om2
+                if 0 < M < C or C < M < 0:
+                    cnt += 1
+        # Q crossings omega*t/(2q) in [a, a+1], double points left out
+        for t in range(-(-q2 * a // om), q2 * (a + 1) // om + 1):
+            if t % q:
+                M = (base + p2 * t) % om2
+                if M > om:
+                    M -= om2
+                if 0 < M < C or C < M < 0:
+                    cnt += 1
+        # double points omega*u/2: a midpoint counts twice, a corner once
+        # toward each of the two edges meeting it
+        for u in range(-(-2 * a // om), 2 * (a + 1) // om + 1):
+            M = (base + pp2 * u) % om2
+            if M > om:
+                M -= om2
+            if 0 < M < C or C < M < 0:
+                cnt += 2 if u % 2 else 1
+        return cnt
+
+    def v_good(x: int, b: int) -> bool:
+        if x % om == 0:
+            return False
+        C = p4 * x % om2
+        if C > om:
+            C -= om2
+        f = p2 * x // om
+        cnt = 0
+        # the witnesses through (0, b + f + 1) and (0, b - f + 2x)
+        for j in (b + f + 1, b - f + 2 * x):
+            M = (p2 * j + om) % om2
+            if M > om:
+                M -= om2
+            if 0 < M < C or C < M < 0:
                 cnt += 1
-    ulo = -((-2 * a) // om)
-    uhi = (2 * (a + 1)) // om
-    for u in range(ulo, uhi + 1):
-        if not is_light_value(C, mass_scaled(r, y0 + p * u), om):
-            continue
-        cnt += 2 if u % 2 else 1  # midpoint twice; corner once per incident edge
-    return cnt
+        return cnt == 1
+
+    return h_count, v_good
+
+
+def scalar_oracle(r: EvenRational):
+    """``bits_at(a, b)``: the edge bitmask of the square [a, a+1] x [b, b+1],
+    read from ``_scalar_edges(r)`` one edge at a time.
+
+    The independent scalar oracle of the dense tiles; it shares no formula
+    with the edge kernel.  Raises ``CoherenceError`` on a square with neither
+    0 nor 2 good edges.
+    """
+    h_count, v_good = _scalar_edges(r)
+
+    def bits_at(a: int, b: int) -> int:
+        bits = 0
+        if h_count(b + 1, a) == 1:
+            bits |= N
+        if h_count(b, a) == 1:
+            bits |= S
+        if v_good(a, b):
+            bits |= W
+        if v_good(a + 1, b):
+            bits |= E
+        n = bits.bit_count()
+        if n not in (0, 2):
+            raise CoherenceError(f"square ({a},{b}) of {r} has {n} good edges")
+        return bits
+    return bits_at
+
+
+def tile_bits_at(r: EvenRational, a: int, b: int) -> int:
+    """Edge bitmask of the square [a, a+1] x [b, b+1]; one call of
+    ``scalar_oracle(r)``."""
+    return scalar_oracle(r)(a, b)
 
 
 def build_tiling(r: EvenRational, x0: int, x1: int, y0: int, y1: int) -> PlaidTiling:

@@ -9,7 +9,7 @@ from plaid import checks, cli, copying
 from plaid.cli import main
 from plaid.grid import cap_scaled, is_light_value, mass_scaled
 from plaid.numtheory import EvenRational, kappa
-from plaid.tiling import _edge_counts, _h_count_scalar
+from plaid.tiling import _edge_counts, _scalar_edges
 
 
 def run(argv):
@@ -54,8 +54,9 @@ def test_hier_totals_match_scalar_counts():
                    for j in range(om)) for n in range(om)]
         assert vcount[:-1].sum(axis=1).tolist() == [2 * lit[x % om]
                                                      for x in range(om * om)]
+        h_count = _scalar_edges(r)[0]
         for y in range(om):
-            scalar = [_h_count_scalar(r, y, a) for a in range(om * om)]
+            scalar = [h_count(y, a) for a in range(om * om)]
             assert (hcount[:, y].reshape(om, om).sum(axis=1).tolist()
                     == np.reshape(scalar, (om, om)).sum(axis=1).tolist())
 

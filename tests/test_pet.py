@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plaid
 from plaid import pet
 from plaid.checks import even_rationals
 from plaid.exactnum import QuadRat, QuadraticTarget
@@ -15,7 +20,7 @@ from plaid.pet import (OrbitResult, _center_scaled, _follow_scaled,
                        follow, good_offset, limit_experiment, orbit,
                        reconstruct_fiber_grid, reduce_point)
 from plaid.tiling import (_MAX_OMEGA, EDGE_NAMES, big_polygon, build_tiling,
-                          first_block_tiling, tile_bits_at, trace_polygons,
+                          first_block_tiling, scalar_oracle, trace_polygons,
                           walk)
 
 
@@ -85,18 +90,20 @@ def _fraction_center(P, a, b):
     return classify(P, Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2))
 
 
-_cached_bits = cache(tile_bits_at)
+_oracle = cache(scalar_oracle)
 _cached_follow = cache(follow)
 
 
 def _fraction_orbit(r, c0, max_steps=None):
     """The orbit with its state held as Fractions, step for step: the
-    reference for the integer state of `orbit`.  The classifying map, the
-    translations and the connector bits are pure and cached across calls,
-    since the orbits from the squares of one loop repeat the same steps."""
+    reference for the integer state of `orbit`.  The classifying map and
+    the translations are pure and cached across calls, since the orbits from
+    the squares of one loop repeat the same steps; the scalar oracle is built
+    once per parameter."""
     P = r.big_p
+    bits_at = _oracle(r)
     a0, b0 = c0
-    bits = _cached_bits(r, a0, b0)
+    bits = bits_at(a0, b0)
     pt = _fraction_center(P, a0, b0)
     if bits == 0:
         assert _cached_follow("empty", pt) == pt
@@ -104,7 +111,7 @@ def _fraction_orbit(r, c0, max_steps=None):
     if max_steps is None:
         max_steps = 4 * r.omega ** 2
     steps = []
-    connectors = walk(lambda a, b: _cached_bits(r, a, b), c0, bits & -bits)
+    connectors = walk(bits_at, c0, bits & -bits)
     for _, (edge, (a, b)) in zip(range(max_steps), connectors):
         pt = _cached_follow(EDGE_NAMES[edge], pt)
         assert pt == _fraction_center(P, a, b), (a, b)
@@ -182,6 +189,46 @@ def test_orbit_max_steps_truncates():
     period = orbit(r, (0, 5)).period
     assert orbit(r, (0, 5), max_steps=period).closed
     assert orbit(r, (0, 5), max_steps=period - 1).truncated
+
+
+def _wrong_at_0_6(center):
+    """``center`` with T off by one at the square (0, 6) alone, which the
+    orbit of (0, 5) at 5/12 enters on its first step."""
+    def wrong(om, p, a, b):
+        T, U1, U2 = center(om, p, a, b)
+        return (T + 1, U1, U2) if (a, b) == (0, 6) else (T, U1, U2)
+    return wrong
+
+
+def test_orbit_rejects_a_wrong_classifying_map(monkeypatch):
+    monkeypatch.setattr(pet, "_center_scaled", _wrong_at_0_6(pet._center_scaled))
+    with pytest.raises(AssertionError, match=r"classifying map disagree at \(0,6\)"):
+        orbit(EvenRational(5, 12), (0, 5))
+
+
+def test_orbit_conjugacy_check_survives_python_O():
+    # the per-step conjugacy check is a model invariant, so it must raise
+    # even when the interpreter strips assert statements; the patch is the
+    # one of _wrong_at_0_6
+    code = (
+        "from plaid import pet\n"
+        "from plaid.numtheory import EvenRational\n"
+        "center = pet._center_scaled\n"
+        "def wrong(om, p, a, b):\n"
+        "    T, U1, U2 = center(om, p, a, b)\n"
+        "    return (T + 1, U1, U2) if (a, b) == (0, 6) else (T, U1, U2)\n"
+        "pet._center_scaled = wrong\n"
+        "try:\n"
+        "    pet.orbit(EvenRational(5, 12), (0, 5))\n"
+        "except AssertionError as exc:\n"
+        "    raise SystemExit(0 if 'disagree at (0,6)' in str(exc) else str(exc))\n"
+        "raise SystemExit('orbit accepted a wrong classifying map')\n")
+    src = str(Path(plaid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_fiber_grid_2_5():

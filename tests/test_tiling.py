@@ -12,9 +12,10 @@ from plaid.grid import cap_scaled, classify_point, is_light_value, mass_scaled
 from plaid.numtheory import EvenRational, tune
 from plaid.pet import window_tiles
 from plaid.tiling import (E, N, S, W, TILE_NAMES, CoherenceError, _edge_counts,
-                          _h_count_scalar, big_polygon, build_tiling,
+                          _scalar_edges, big_polygon, build_tiling,
                           first_block_tiling, h_edges_count, h_edges_good,
-                          tile_bits_at, trace_polygons, v_edges_good)
+                          scalar_oracle, tile_bits_at, trace_polygons,
+                          v_edges_good)
 
 
 def test_boundary_edges_never_good():
@@ -68,9 +69,10 @@ def test_scalar_and_vector_paths_agree():
     for r in (EvenRational(5, 12), EvenRational(7, 18), EvenRational(4, 11)):
         om = r.omega
         tiling = build_tiling(r, 0, 2 * om, 0, om)
+        bits_at = scalar_oracle(r)
         for _ in range(200):
             a, b = rng.randrange(2 * om), rng.randrange(om)
-            assert tile_bits_at(r, a, b) == tiling.tile_bits(a, b)
+            assert bits_at(a, b) == tiling.tile_bits(a, b)
 
 
 def test_coherence_small_sweep():
@@ -96,11 +98,12 @@ def test_reflection_symmetries():
 def test_tiles_L_periodic():
     r = EvenRational(2, 5)
     om = r.omega
+    bits_at = scalar_oracle(r)
     for a in range(om):
         for b in range(om):
-            bits = tile_bits_at(r, a, b)
-            assert bits == tile_bits_at(r, a + om * om, b)
-            assert bits == tile_bits_at(r, a, b + om)
+            bits = bits_at(a, b)
+            assert bits == bits_at(a + om * om, b)
+            assert bits == bits_at(a, b + om)
 
 
 def test_trace_deterministic_and_partition():
@@ -182,9 +185,10 @@ def test_far_tiles_do_not_wrap_int64():
     om = r.omega
     tiling = build_tiling(r, om * om - 4, om * om + 4, 0, 6)
     assert tiling.tiles.any()
+    bits_at = scalar_oracle(r)
     for a in range(om * om - 4, om * om + 4):
         for b in range(6):
-            assert tiling.tile_bits(a, b) == tile_bits_at(r, a, b)
+            assert tiling.tile_bits(a, b) == bits_at(a, b)
 
 
 def test_dense_path_refuses_omega_beyond_int64():
@@ -203,13 +207,88 @@ def even_rational(draw, max_omega):
 ORIGINS = st.integers(-10 ** 12, 10 ** 12) | st.integers(-2000, 2000)
 
 
+# The reference for scalar_oracle: the same enumeration of each edge's
+# crossings, with every capacity, mass and light test taken from plaid.grid.
+
+def reference_v_good(r, x0, b):
+    om = r.omega
+    if x0 % om == 0:
+        return False
+    C = cap_scaled(r, x0)
+    f = (2 * r.p * x0) // om
+    cnt = int(is_light_value(C, mass_scaled(r, b + f + 1), om))
+    cnt += int(is_light_value(C, mass_scaled(r, (b - f) + 2 * x0), om))
+    return cnt == 1
+
+
+def reference_h_count(r, y0, a):
+    om, p, q = r.omega, r.p, r.q
+    C = cap_scaled(r, y0)
+    if C == 0:
+        return 0
+    cnt = 0
+    for den, step in ((2 * p, p), (2 * q, q)):
+        tlo = -((-den * a) // om)
+        thi = (den * (a + 1)) // om
+        for t in range(tlo, thi + 1):
+            if t % step == 0:
+                continue  # shared double points handled below
+            if is_light_value(C, mass_scaled(r, y0 + t), om):
+                cnt += 1
+    ulo = -((-2 * a) // om)
+    uhi = (2 * (a + 1)) // om
+    for u in range(ulo, uhi + 1):
+        if not is_light_value(C, mass_scaled(r, y0 + p * u), om):
+            continue
+        cnt += 2 if u % 2 else 1  # midpoint twice; corner once per incident edge
+    return cnt
+
+
+def reference_bits_at(r, a, b):
+    bits = 0
+    if reference_h_count(r, b + 1, a) == 1:
+        bits |= N
+    if reference_h_count(r, b, a) == 1:
+        bits |= S
+    if reference_v_good(r, a, b):
+        bits |= W
+    if reference_v_good(r, a + 1, b):
+        bits |= E
+    n = bin(bits).count("1")
+    if n not in (0, 2):
+        raise CoherenceError(f"square ({a},{b}) of {r} has {n} good edges")
+    return bits
+
+
+def assert_matches_reference(r, squares):
+    bits_at, (h_count, _) = scalar_oracle(r), _scalar_edges(r)
+    for a, b in squares:
+        assert bits_at(a, b) == reference_bits_at(r, a, b), (a, b)
+        for y in (b, b + 1):
+            assert h_count(y, a) == reference_h_count(r, y, a), (a, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=even_rational(10 ** 6) | even_rational(80), x0=ORIGINS, y0=ORIGINS,
+       w=st.integers(1, 4), h=st.integers(1, 4))
+def test_scalar_oracle_matches_grid_reference(r, x0, y0, w, h):
+    assert_matches_reference(r, [(a, b) for a in range(x0, x0 + w)
+                                 for b in range(y0, y0 + h)])
+
+
+def test_scalar_oracle_matches_grid_reference_on_a_first_block():
+    r = EvenRational(12, 29)
+    assert_matches_reference(r, [(a, b) for a in range(r.omega) for b in range(r.omega)])
+
+
 def assert_matches_scalar_oracle(r, x0, x1, y0, y1, squares):
     tiling = build_tiling(r, x0, x1, y0, y1)
+    bits_at, (h_count, _) = scalar_oracle(r), _scalar_edges(r)
     for a, b in squares:
-        assert tiling.tile_bits(a, b) == tile_bits_at(r, a, b), (a, b)
+        assert tiling.tile_bits(a, b) == bits_at(a, b), (a, b)
     for y in {y0, y1}:
         assert (h_edges_count(r, y, x0, x1).tolist()
-                == [_h_count_scalar(r, y, a) for a in range(x0, x1)]), y
+                == [h_count(y, a) for a in range(x0, x1)]), y
 
 
 @settings(max_examples=40, deadline=None)
@@ -284,10 +363,11 @@ def test_column_and_window_probes_match_scalar_oracle(r, k, dx, y0, h, cx, cy, w
     # observed_branch reads single columns, x = 0 mod omega among them, and
     # limit_experiment square windows, both through build_tiling
     x = k * r.omega + dx
+    bits_at = scalar_oracle(r)
     assert (build_tiling(r, x, x + 1, y0, y0 + h).tiles[0].tolist()
-            == [tile_bits_at(r, x, b) for b in range(y0, y0 + h)])
+            == [bits_at(x, b) for b in range(y0, y0 + h)])
     assert (window_tiles(r, cx, cy, w).tolist()
-            == [[tile_bits_at(r, cx + da, cy + db) for db in range(-w, w)]
+            == [[bits_at(cx + da, cy + db) for db in range(-w, w)]
                 for da in range(-w, w)])
 
 
