@@ -1,10 +1,11 @@
-"""Mass/capacity sequences, the three alignment predicates, and bound audits.
+"""The three alignment predicates, the tile comparison, and bound audits.
 
 The matching machinery compares the model at two parameters over a pair of
-rectangles equivalent under a vertical translation by ``xi``.  Sign data is
-packaged as scaled-integer sequences; *special* indices (slanting lines that
-are inert for the smaller parameter) carry no sign and are handled by the
-harmlessness check instead.
+rectangles equivalent under a vertical translation by ``xi``.  The signs of
+the scaled capacities and masses are compared directly; *special* indices
+(slanting lines that are inert for the smaller parameter) carry no sign and
+are handled by the harmlessness check instead.  ``tiles_equal`` is the one
+comparison of the two tilings, and the ground truth the predicates predict.
 
 ``psi_xi_audit`` replays the proof inequalities for the even-predecessor
 cases; the direct sign comparison stays the ground truth and is always
@@ -59,64 +60,44 @@ class RectanglePair:
         return Rect(sp.x0, sp.x1, sp.y0 + self.xi, sp.y1 + self.xi)
 
 
-@dataclass
-class SignSequence:
-    kind: str  # 'capacity' | 'mass'
-    lo: int
-    hi: int  # inclusive index range
-    values: dict[int, int]
-    specials: frozenset[int] = frozenset()
-
-
-def capacity_sequence(r: EvenRational, rect: Rect) -> SignSequence:
-    """Scaled capacities of the V lines meeting the closed rectangle.
-
-    The rectangle must keep clear of the vertical block boundaries (the
-    capacity-0 lines at multiples of omega), except for a left edge on the
-    y-axis itself.
-    """
-    lo = max(rect.x0, 1)
-    if any(k % r.omega == 0 for k in range(lo, rect.x1 + 1)):
-        raise ValueError("rectangle touches an interior block boundary")
-    vals = {i: cap_scaled(r, i) for i in range(lo, rect.x1 + 1)}
-    return SignSequence("capacity", lo, rect.x1, vals)
-
-
-def mass_sequence(r: EvenRational, rect: Rect, special_mod: int | None = None,
-                  special_offset: int = 0) -> SignSequence:
-    """Scaled masses of slanting intercepts feeding the rectangle.
-
-    The index range extends 2*width beyond the rectangle vertically since the
-    slanting slopes lie in (-2, 2).  ``special_mod`` marks indices whose
-    counterpart (after subtracting ``special_offset``) is inert for the
-    comparison parameter.
-    """
+def _intercepts(rect: Rect) -> range:
+    """Slanting intercepts feeding the rectangle: the slopes lie in (-2, 2),
+    so the range reaches 2*width beyond it vertically."""
     w = rect.width
-    lo, hi = rect.y0 - 2 * w + 1, rect.y1 + 2 * w - 1
-    vals = {j: mass_scaled(r, j) for j in range(lo, hi + 1)}
-    mod = special_mod if special_mod is not None else r.omega
-    specials = frozenset(j for j in vals if (j - special_offset) % mod == 0)
-    return SignSequence("mass", lo, hi, vals, specials)
+    return range(rect.y0 - 2 * w + 1, rect.y1 + 2 * w)
 
 
-def sequences(r: EvenRational, rect: Rect, special_mod: int | None = None,
-              special_offset: int = 0) -> tuple[SignSequence, SignSequence]:
-    return (capacity_sequence(r, rect),
-            mass_sequence(r, rect, special_mod, special_offset))
+def special_indices(r_small: EvenRational, sigma_prime: Rect) -> list[int]:
+    """Intercepts feeding sigma' that are inert for the small parameter
+    (j = 0 mod omega'): they carry no sign, and the harmlessness check
+    handles them instead."""
+    return [j for j in _intercepts(sigma_prime) if j % r_small.omega == 0]
 
 
-def arithmetic_alignment(seq_small: SignSequence, seq_big: SignSequence,
-                         xi: int) -> bool:
-    """sign(v'_j) == sign(v_{j+xi}) at every non-special index of the small side."""
-    for j, v in seq_small.values.items():
-        if j in seq_small.specials:
-            continue
-        w = seq_big.values.get(j + xi)
-        if w is None:
-            raise ValueError(f"index {j + xi} missing from the target sequence")
-        if ((v > 0) - (v < 0)) != ((w > 0) - (w < 0)):
-            return False
-    return True
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def arithmetic_alignment(r_small: EvenRational, r_big: EvenRational,
+                         pair: RectanglePair) -> bool:
+    """Equal signs on both sides of the pair.
+
+    The V lines of sigma' have the same capacity signs for both parameters,
+    and every non-special intercept j feeding sigma' has the mass sign for
+    r' that j + xi has for r.  The rectangle must keep clear of the vertical
+    block boundaries of both parameters (the capacity-0 lines at multiples of
+    omega), except for a left edge on the y-axis itself.
+    """
+    sp = pair.sigma_prime
+    xs = range(max(sp.x0, 1), sp.x1 + 1)
+    if any(x % r.omega == 0 for r in (r_small, r_big) for x in xs):
+        raise ValueError("rectangle touches an interior block boundary")
+    om = r_small.omega
+    return (all(_sign(cap_scaled(r_small, x)) == _sign(cap_scaled(r_big, x))
+                for x in xs)
+            and all(_sign(mass_scaled(r_small, j))
+                    == _sign(mass_scaled(r_big, j + pair.xi))
+                    for j in _intercepts(sp) if j % om != 0))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +174,14 @@ class MatchReport:
         return self.tiles_equal or not self.predicates_hold
 
 
-def _crossing_pattern(r: EvenRational, y: int, x0: int, x1: int) -> tuple:
-    return tuple(bool(b) for b in h_edges_good(r, y, x0, x1))
+def tiles_equal(r_small: EvenRational, r_big: EvenRational,
+                pair: RectanglePair) -> bool:
+    """The tiles of r' over sigma' equal those of r over sigma, square for
+    square: the ground truth that the predicates predict."""
+    sp, s = pair.sigma_prime, pair.sigma
+    small = build_tiling(r_small, sp.x0, sp.x1, sp.y0, sp.y1)
+    big = build_tiling(r_big, s.x0, s.x1, s.y0, s.y1)
+    return bool(np.array_equal(small.tiles, big.tiles))
 
 
 def special_index_harmless(r_big: EvenRational, sigma: Rect, j_big: int) -> bool:
@@ -231,28 +218,17 @@ def matching(r_small: EvenRational, r_big: EvenRational, pair: RectanglePair,
     if norm_bound is None:
         norm_bound = Fraction(2 * tune(r_small).tau, r_small.omega * r_big.omega)
 
-    wha = (_crossing_pattern(r_small, h_lines[0], sp.x0, sp.x1)
-           == _crossing_pattern(r_big, h_lines[1], s.x0, s.x1))
+    wha = np.array_equal(h_edges_good(r_small, h_lines[0], sp.x0, sp.x1),
+                         h_edges_good(r_big, h_lines[1], s.x0, s.x1))
     geo = geometric_alignment(r_small, r_big, pair, norm_bound)
-
-    # the translation is vertical: capacity indices correspond unshifted,
-    # mass intercepts shift by xi
-    cap_s, mass_s = sequences(r_small, sp, special_mod=r_small.omega)
-    cap_b, mass_b = sequences(r_big, s, special_mod=r_small.omega,
-                              special_offset=pair.xi)
-    arith = (arithmetic_alignment(cap_s, cap_b, 0)
-             and arithmetic_alignment(mass_s, mass_b, pair.xi))
-
+    arith = arithmetic_alignment(r_small, r_big, pair)
     harmless = all(special_index_harmless(r_big, s, j + pair.xi)
-                   for j in mass_s.specials)
-
-    tiles_small = build_tiling(r_small, sp.x0, sp.x1, sp.y0, sp.y1)
-    tiles_big = build_tiling(r_big, s.x0, s.x1, s.y0, s.y1)
-    tiles_equal = bool(np.array_equal(tiles_small.tiles, tiles_big.tiles))
+                   for j in special_indices(r_small, sp))
+    equal = tiles_equal(r_small, r_big, pair)
 
     rep = MatchReport((str(r_small), str(r_big)), pair.xi, wha, geo, arith,
-                      harmless, tiles_equal)
-    if rep.predicates_hold and not tiles_equal:
+                      harmless, equal)
+    if rep.predicates_hold and not equal:
         rep.exceptions.append("predicates hold but tiles differ")
     return rep
 
@@ -321,11 +297,11 @@ def psi_xi_audit(r_prev: EvenRational, r: EvenRational) -> BoundReport:
     rep.checks["psi_global"] = Fraction(4 * W, om) < 1 + 2 * lam
 
     # masses over the extended index range
-    jlo, jhi = -2 * W + 1, H + 2 * W - 1
+    sigma = Rect(0, W, 0, H)
     mass_ok = True
     xi_ok = True
     exceptional = []
-    for j in range(jlo, jhi + 1):
+    for j in _intercepts(sigma):
         Mj = mass_scaled(r, j)
         Mpj = mass_scaled(r_prev, j)
         if j % omp == 0:
@@ -354,9 +330,8 @@ def psi_xi_audit(r_prev: EvenRational, r: EvenRational) -> BoundReport:
             rep.exceptions.append(("mass-exceptional", exceptional))
 
     # special indices harmless on the actual rectangles
-    pair = RectanglePair(Rect(0, W, 0, H), 0)
-    harmless = all(special_index_harmless(r, pair.sigma, j)
-                   for j in range(jlo, jhi + 1) if j % omp == 0)
+    harmless = all(special_index_harmless(r, sigma, j)
+                   for j in special_indices(r_prev, sigma))
     rep.checks["specials_harmless"] = harmless
     return rep
 

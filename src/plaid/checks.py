@@ -104,11 +104,9 @@ def check_box(r: EvenRational) -> tuple[bool, str]:
 def check_copy(r: EvenRational) -> tuple[bool, str]:
     if r.p == 1:
         return True, "skipped (p=1 descends by the unit rule)"
-    if kappa(r).kappa >= 1:
-        ok = copying.verify_core_copy(r)
-        return ok, "" if ok else "core copy failed"
-    ok = copying.verify_weak_strong_copy(r)
-    return ok, "" if ok else "weak/strong copy failed"
+    if copying.verify_copy(r):
+        return True, ""
+    return False, f"{'core' if kappa(r).kappa >= 1 else 'weak/strong'} copy failed"
 
 
 def check_copytheorem(r: EvenRational) -> tuple[bool, str]:

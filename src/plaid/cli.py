@@ -16,7 +16,6 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .alignment import classify_case, matching, psi_xi_audit
 from .checks import CHECKS, even_rationals, run_sweep
 from .exactnum import QuadraticTarget, parse_irrational
 from .numtheory import (EvenRational, approximating_sequence, diophantine_check,
@@ -168,21 +167,8 @@ def cmd_polygon(args) -> int:
 def cmd_align(args) -> int:
     r_small = EvenRational.parse(args.small)
     r_big = EvenRational.parse(args.big)
-    k = kappa(r_big).kappa
+    case, rep, audit = copying.align(r_small, r_big)
     failures = []
-    if k >= 1:
-        pair = copying.sigma_core(r_small, r_big)
-        th = tune(r_small).tau
-        bound = Fraction(4 * k * th, r_big.omega * r_small.omega)
-        rep = matching(r_small, r_big, pair,
-                       h_lines=(th, tune(r_big).tau), norm_bound=bound)
-        case = "core"
-        audit = None
-    else:
-        pair = copying.sigma_weak_strong(r_small, r_big)
-        rep = matching(r_small, r_big, pair)
-        case = f"case-{classify_case(r_small, r_big)}"
-        audit = psi_xi_audit(r_small, r_big)
     payload = {
         "pair": [str(r_small), str(r_big)],
         "case": case,

@@ -15,10 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .alignment import Rect, RectanglePair, box_r, sigma_dimensions
+from .alignment import (BoundReport, MatchReport, Rect, RectanglePair, box_r,
+                        classify_case, matching, psi_xi_audit,
+                        sigma_dimensions, tiles_equal)
 from .grid import cap_scaled, mass_scaled
 from .numtheory import (EvenRational, core_predecessor, even_predecessor,
-                        kappa, pair_kind, predecessor_chain, tune)
+                        kappa, pair_kind, predecessor, predecessor_chain, tune)
 from .tiling import PlaidPolygon, big_polygon, build_tiling, v_edges_good
 
 
@@ -64,24 +66,39 @@ def sigma_core(r_hat: EvenRational, r: EvenRational) -> RectanglePair:
     return pair
 
 
-def verify_weak_strong_copy(r: EvenRational) -> bool:
-    """Tile-exact equality over the comparison rectangles (kappa = 0)."""
-    r_prev = even_predecessor(r)
-    pair = sigma_weak_strong(r_prev, r)
-    sp = pair.sigma_prime
-    small = build_tiling(r_prev, sp.x0, sp.x1, sp.y0, sp.y1)
-    big = build_tiling(r, sp.x0, sp.x1, sp.y0, sp.y1)
-    return bool(np.array_equal(small.tiles, big.tiles))
+def comparison_pair(r_small: EvenRational, r: EvenRational) -> RectanglePair:
+    """The comparison rectangles of a predecessor pair: ``sigma_core`` when
+    kappa >= 1, else ``sigma_weak_strong``."""
+    if kappa(r).kappa >= 1:
+        return sigma_core(r_small, r)
+    return sigma_weak_strong(r_small, r)
 
 
-def verify_core_copy(r: EvenRational) -> bool:
-    """Tile-exact equality under the vertical shift (kappa >= 1)."""
-    r_hat = core_predecessor(r)
-    pair = sigma_core(r_hat, r)
-    sp, s = pair.sigma_prime, pair.sigma
-    small = build_tiling(r_hat, sp.x0, sp.x1, sp.y0, sp.y1)
-    big = build_tiling(r, s.x0, s.x1, s.y0, s.y1)
-    return bool(np.array_equal(small.tiles, big.tiles))
+def verify_copy(r: EvenRational) -> bool:
+    """Tile-exact copy of the predecessor's comparison rectangle in r (p > 1)."""
+    r_small = predecessor(r)
+    return tiles_equal(r_small, r, comparison_pair(r_small, r))
+
+
+def align(r_small: EvenRational, r: EvenRational
+          ) -> tuple[str, MatchReport, BoundReport | None]:
+    """(case, matching report, bound audit) of a predecessor pair.
+
+    A core pair compares its capacity-2 anchor lines under the shift, within
+    the displacement bound 4*kappa*tau_hat/(omega*omega_hat), and carries no
+    audit; an even pair is case 1-4 of the bound analysis, audited by
+    ``psi_xi_audit``.
+    """
+    pair = comparison_pair(r_small, r)
+    k = kappa(r).kappa
+    if k >= 1:
+        th = tune(r_small).tau
+        bound = Fraction(4 * k * th, r.omega * r_small.omega)
+        rep = matching(r_small, r, pair, h_lines=(th, tune(r).tau),
+                       norm_bound=bound)
+        return "core", rep, None
+    rep = matching(r_small, r, pair)
+    return f"case-{classify_case(r_small, r)}", rep, psi_xi_audit(r_small, r)
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +451,9 @@ def realize_tree(terms: list[EvenRational], depth: int) -> TreeRealization:
         place(level - 1, address + (0,), y0 + shift)
         place(level - 1, address + (1,), y0 + shift + ds[level - 1])
 
-    place(depth - 1, (), 0)
-    # normalize: the bottom-path leaf's low anchor sits at height zero and all
-    # sibling translations point upward
-    leaf = boxes[(0,) * (depth - 1)]
-    drop = leaf.anchor_low[1]
-    if drop:
-        boxes = {addr: MarkedBox(
-            (b.rect[0], b.rect[1], b.rect[2] - drop, b.rect[3] - drop), b.term,
-            (b.anchor_low[0], b.anchor_low[1] - drop),
-            (b.anchor_high[0], b.anchor_high[1] - drop),
-            None if b.curve is None else frozenset((a, y - drop) for a, y in b.curve))
-            for addr, b in boxes.items()}
+    # normalized: the bottom-path leaf sits sum(shifts) above the root, so
+    # this root height puts the leaf's low anchor at height zero
+    place(depth - 1, (), -(sum(shifts) + tune(terms[0]).tau))
     real = TreeRealization(terms, depth, boxes, ds, branches, etas)
     _check_realization(real)
     return real

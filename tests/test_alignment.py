@@ -1,9 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
 from plaid.alignment import (Rect, RectanglePair, arithmetic_alignment,
-                             capacity_sequence, classify_case, core_mass_audit,
-                             geometric_alignment, mass_sequence, matching,
-                             psi_xi_audit, sequences, sigma_dimensions)
+                             classify_case, core_mass_audit,
+                             geometric_alignment, matching, psi_xi_audit,
+                             sigma_dimensions, special_indices)
+from plaid.grid import cap_scaled, mass_scaled
 from plaid.checks import even_rationals
 from plaid.copying import (core_predecessor, even_predecessor, sigma_core,
                            sigma_weak_strong)
@@ -14,35 +17,44 @@ R512 = EvenRational(5, 12)
 R25 = EvenRational(2, 5)
 
 
-def test_capacity_sequence_example():
-    seq = capacity_sequence(R512, Rect(0, 5, 0, 17))
-    assert seq.lo == 1 and seq.hi == 5
-    assert seq.values[5] == -2  # [4*5*5] mod 34 normalized
+def test_arithmetic_alignment_block_boundary():
+    assert cap_scaled(R512, 5) == -2  # [4*5*5] mod 34 normalized
+    # a left edge on the y-axis is allowed; a V line at a multiple of either
+    # omega is not, whichever parameter is the small one
+    assert arithmetic_alignment(R512, R512, RectanglePair(Rect(0, 5, 0, 17), 0))
+    for a, b in ((R25, R512), (R512, R25)):
+        with pytest.raises(ValueError, match="interior block boundary"):
+            arithmetic_alignment(a, b, RectanglePair(Rect(0, 7, 0, 7), 0))
 
 
-def test_mass_sequence_specials_and_anchor():
+def test_special_indices_and_anchor():
     t = tune(R512).tau
-    seq = mass_sequence(R512, Rect(0, 5, 0, 17))
-    assert abs(seq.values[t]) == 1  # the tune intercept has mass 1
-    assert all(j % 17 == 0 for j in seq.specials)
-    assert 0 in seq.specials
+    assert abs(mass_scaled(R512, t)) == 1  # the tune intercept has mass 1
+    # intercepts -9..26 feed [0, 5] x [0, 17]: slopes lie in (-2, 2)
+    assert special_indices(R512, Rect(0, 5, 0, 17)) == [0, 17]
+    assert special_indices(R25, Rect(0, 5, 0, 17)) == [-7, 0, 7, 14, 21]
 
 
 def test_arithmetic_alignment_identity_and_shift():
-    cap, mass = sequences(R25, Rect(0, 2, 0, 7))
-    assert arithmetic_alignment(cap, cap, 0)
-    assert arithmetic_alignment(mass, mass, 0)
+    assert arithmetic_alignment(R25, R25, RectanglePair(Rect(0, 2, 0, 7), 0))
     # the (2/5, 5/12) strong pair aligns at shift 0
     pair = sigma_weak_strong(R25, R512)
-    sp = pair.sigma_prime
-    cap_s, mass_s = sequences(R25, sp)
-    cap_b, mass_b = sequences(R512, sp, special_mod=7)
-    assert arithmetic_alignment(cap_s, cap_b, 0)
-    assert arithmetic_alignment(mass_s, mass_b, 0)
-    # deliberately shifting the same data misaligns it
-    big_rect = Rect(sp.x0, sp.x1, sp.y0 - 2, sp.y1 + 2)
-    mass_b_wide = mass_sequence(R512, big_rect, special_mod=7)
-    assert not arithmetic_alignment(mass_s, mass_b_wide, 1)
+    assert arithmetic_alignment(R25, R512, pair)
+    # deliberately shifting the masses misaligns them
+    assert not arithmetic_alignment(R25, R512,
+                                    RectanglePair(pair.sigma_prime, 1))
+
+
+def test_arithmetic_alignment_compares_every_non_special_sign(monkeypatch):
+    # flip the sign of one mass of the big side: an ordinary intercept
+    # breaks the alignment, a special one is skipped
+    pair = sigma_weak_strong(R25, R512)
+    for j, expect in ((3, False), (0, True)):
+        def flipped(r, i, j=j):
+            m = mass_scaled(r, i)
+            return -m if (r, i) == (R512, j) else m
+        monkeypatch.setattr("plaid.alignment.mass_scaled", flipped)
+        assert arithmetic_alignment(R25, R512, pair) is expect, j
 
 
 def test_geometric_alignment_pairs():
@@ -158,11 +170,7 @@ def test_alignment_predicates_all_even_pairs():
             continue
         prev = even_predecessor(r)
         pair = sigma_weak_strong(prev, r)
-        sp = pair.sigma_prime
-        cap_s, mass_s = sequences(prev, sp)
-        cap_b, mass_b = sequences(r, sp, special_mod=prev.omega)
-        assert arithmetic_alignment(cap_s, cap_b, 0), (str(prev), str(r))
-        assert arithmetic_alignment(mass_s, mass_b, 0), (str(prev), str(r))
+        assert arithmetic_alignment(prev, r, pair), (str(prev), str(r))
         bound = Fraction(2 * tune(prev).tau, prev.omega * r.omega)
         assert geometric_alignment(prev, r, pair, bound), (str(prev), str(r))
         n += 1

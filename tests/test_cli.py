@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plaid import checks, cli, copying
+from plaid import alignment, checks, cli, copying
 from plaid.cli import main
 from plaid.grid import cap_scaled, is_light_value, mass_scaled
 from plaid.numtheory import EvenRational, kappa
@@ -72,6 +72,26 @@ def test_check_hier_failure_detail(monkeypatch, which, edge, detail):
         return counts
     monkeypatch.setattr(checks, "_edge_counts", one_extra_light_point)
     assert checks.check_hier(EvenRational(2, 5)) == (False, detail)
+
+
+@pytest.mark.parametrize("pq,detail", [
+    ((7, 18), "core copy failed"),
+    ((5, 12), "weak/strong copy failed"),
+])
+def test_check_copy_failure_detail(monkeypatch, pq, detail):
+    r = EvenRational(*pq)
+    assert checks.check_copy(r) == (True, "")
+    build = alignment.build_tiling
+
+    def one_flipped_tile(s, *box):
+        tiling = build(s, *box)
+        if s == r:
+            tiling.tiles[0, 0] ^= 1
+        return tiling
+    monkeypatch.setattr(alignment, "build_tiling", one_flipped_tile)
+    assert checks.check_copy(r) == (False, detail)
+    assert checks.check_copy(EvenRational(1, 2)) == (
+        True, "skipped (p=1 descends by the unit rule)")
 
 
 def test_verify_copy_core_pass(tmp_path, capsys):

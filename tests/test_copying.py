@@ -9,13 +9,13 @@ import pytest
 import plaid
 from plaid.alignment import Rect
 from plaid.checks import even_rationals
-from plaid.copying import (box_r, box_width_by_scan, capacity_two_lines,
+from plaid.copying import (align, box_r, box_width_by_scan,
+                           capacity_two_lines, comparison_pair,
                            connecting_chain, eta, even_predecessor,
                            observed_branch, omni2_check, realize_tree,
                            sigma_core, sigma_weak_strong,
                            translation_candidates, verify_box_lemma,
-                           verify_copy_theorem, verify_core_copy,
-                           verify_weak_strong_copy)
+                           verify_copy, verify_copy_theorem)
 from plaid.numtheory import (EvenRational, kappa, main_identity,
                              predecessor_chain, tune)
 from plaid.tiling import big_polygon
@@ -94,9 +94,20 @@ def test_box_lemma_examples():
 
 
 def test_copy_lemma_examples():
-    assert verify_weak_strong_copy(ER(5, 12))
-    assert verify_weak_strong_copy(ER(12, 29))
-    assert verify_core_copy(ER(7, 18))
+    assert verify_copy(ER(5, 12))
+    assert verify_copy(ER(12, 29))
+    assert verify_copy(ER(7, 18))
+
+
+def test_comparison_pair_and_align_choose_the_regime():
+    assert comparison_pair(ER(2, 5), ER(5, 12)) == sigma_weak_strong(ER(2, 5), ER(5, 12))
+    assert comparison_pair(ER(3, 8), ER(7, 18)) == sigma_core(ER(3, 8), ER(7, 18))
+    case, rep, audit = align(ER(2, 5), ER(5, 12))
+    assert case == "case-3" and audit.all_ok and rep.predicates_hold
+    case, rep, audit = align(ER(3, 8), ER(7, 18))
+    assert (case, rep.xi, audit) == ("core", 7, None) and rep.tiles_equal
+    with pytest.raises(ValueError):
+        align(ER(2, 5), ER(7, 18))  # not the core predecessor
 
 
 def test_main_identity_scope():
