@@ -1,4 +1,5 @@
-"""Pinned outputs of every README command and of one nine-check sweep.
+"""Pinned outputs of every README command, two fiber reconstructions and one
+nine-check sweep.
 
 Each command runs in process, in an empty directory of its own.  Its result
 is the exit code, the sha256 of its stdout and the sha256 of each file it
@@ -32,16 +33,19 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden.json"
 SWEEP = ("plaid sweep --max-omega 45 --checks coherence,hier,first,omnibus,"
          "main,box,copy,copytheorem,pet --json sweep.json")
+# omega = 11 and 17: fibers whose T value is not the README's P+1 at 2/5
+FIBERS = ("plaid pet fiber 3/8 --t P-1 --json f.json",
+          "plaid pet fiber 5/12 --t P+1 --json f.json")
 
 
 def commands() -> list[str]:
-    """The README's command-line examples, then the nine-check sweep."""
+    """The README's command-line examples, the two fibers, then the sweep."""
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
     lines = [shlex.join(shlex.split(ln, comments=True))
              for ln in block.split("```", 1)[0].splitlines()
              if ln.startswith("plaid ")]
-    return lines + [SWEEP]
+    return lines + [*FIBERS, SWEEP]
 
 
 def _digest(path: Path) -> str:
