@@ -36,10 +36,6 @@ class Rect:
     def width(self) -> int:
         return self.x1 - self.x0
 
-    @property
-    def height(self) -> int:
-        return self.y1 - self.y0
-
 
 def box_r(r: EvenRational) -> Rect:
     """[0, w] x [0, omega] with w = min(tau, omega - 2*tau)."""

@@ -223,6 +223,10 @@ def cmd_verify(args) -> int:
 
 def cmd_pet(args) -> int:
     failures = []
+    if args.svg and args.what != "fiber":
+        print(f"error: pet {args.what} writes no SVG; --svg is for pet fiber",
+              file=sys.stderr)
+        return 2
     if args.what != "limit":
         if not args.param:
             print(f"error: pet {args.what} needs a parameter", file=sys.stderr)
@@ -240,7 +244,7 @@ def cmd_pet(args) -> int:
             failures.append("truncated")
     elif args.what == "fiber":
         t_value = _parse_t_value(args.t, r)
-        rep = pet.reconstruct_fiber_grid(r, t_value, min_samples=args.samples)
+        rep = pet.reconstruct_fiber_grid(r, t_value)
         payload = {"param": str(r), "t": str(rep.t_value),
                    "points": len(rep.points), "grid_ok": rep.grid_ok,
                    "u1_cells": [[str(a), str(b)] for a, b in rep.u1_cells],
@@ -371,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--square", default="0,0", help="start square a,b")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--t", default="P+1", help="fiber T value (P, P+1, P-1 or n/d)")
-    p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--irrational", metavar="SPEC")
     p.add_argument("--prefix", default="0")
     p.add_argument("--window", type=int, default=10)

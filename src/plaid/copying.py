@@ -394,13 +394,29 @@ class TreeRealization:
     branches: list[str]
     etas: list[int]
 
-    def vertices(self):
-        return sorted(self.boxes, key=len)
-
 
 def eta(r: EvenRational) -> int:
     """Distance between the two capacity-2 horizontal lines."""
     return r.omega - 2 * tune(r).tau
+
+
+def chain_translations(terms: list[EvenRational]) -> list[tuple[str, int, int]]:
+    """(branch, t, d) for each pair of consecutive approximating terms.
+
+    t is the observed translation of the first column (`observed_branch`)
+    and d = omega_1 - omega_0 - 2t the translation length between the two
+    sibling copies, checked to be a positive eta_k -+ eta_(k-1).
+    """
+    steps = []
+    for r0, r1 in zip(terms, terms[1:]):
+        branch, t = observed_branch(r0, r1)
+        d = r1.omega - r0.omega - 2 * t
+        etas_pair = {eta(r1) - eta(r0), eta(r1) + eta(r0)}
+        if d not in etas_pair or d <= 0:
+            raise AssertionError(
+                f"translation length {d} is not a positive eta_k -+ eta_(k-1) {etas_pair}")
+        steps.append((branch, t, d))
+    return steps
 
 
 def realize_tree(terms: list[EvenRational], depth: int) -> TreeRealization:
@@ -416,17 +432,10 @@ def realize_tree(terms: list[EvenRational], depth: int) -> TreeRealization:
     terms = list(terms[:depth])
     with_curves = terms[-1].omega <= 200
     etas = [eta(s) for s in terms]
-    branches, ds, shifts = [], [], []
-    for r0, r1 in zip(terms, terms[1:]):
-        branch, t = observed_branch(r0, r1)
-        d = r1.omega - r0.omega - 2 * t
-        etas_pair = {eta(r1) - eta(r0), eta(r1) + eta(r0)}
-        if d not in etas_pair or d <= 0:
-            raise AssertionError(
-                f"translation length {d} is not a positive eta_k -+ eta_(k-1) {etas_pair}")
-        branches.append(branch)
-        ds.append(d)
-        shifts.append(t)
+    steps = chain_translations(terms)
+    branches = [branch for branch, _, _ in steps]
+    shifts = [t for _, t, _ in steps]
+    ds = [d for _, _, d in steps]
     curves = {}
     if with_curves:
         for s in terms:

@@ -252,10 +252,6 @@ class QuadraticTarget:
         if not (0 < self.value < 1):
             raise ValueError("target must lie in (0, 1)")
 
-    @property
-    def exact(self) -> bool:
-        return True
-
     def cmp_fraction(self, fr: Fraction) -> int:
         return self.value._cmp(fr)
 
@@ -275,26 +271,19 @@ class CFTarget:
     :class:`PrecisionError` is raised.
     """
 
-    def __init__(self, coeffs: list[int], exact: bool = False):
-        if not coeffs or coeffs[0] != 0:
+    def __init__(self, coeffs: list[int]):
+        if len(coeffs) < 2 or coeffs[0] != 0:
             raise ValueError("target in (0,1) needs cf:[0;a1,a2,...]")
         if any(a <= 0 for a in coeffs[1:]):
             raise ValueError("partial quotients must be positive")
-        self.coeffs = list(coeffs)
-        self.exact = exact
         h0, h1 = 1, coeffs[0]
         k0, k1 = 0, 1
         for a in coeffs[1:]:
             h0, h1 = h1, a * h1 + h0
             k0, k1 = k1, a * k1 + k0
-        self.penultimate = Fraction(h0, k0) if k0 else None
-        self.last = Fraction(h1, k1)
-        lo, hi = sorted(x for x in (self.penultimate, self.last) if x is not None)
-        self.lo, self.hi = lo, hi
+        self.lo, self.hi = sorted((Fraction(h0, k0), Fraction(h1, k1)))
 
     def cmp_fraction(self, fr: Fraction) -> int:
-        if self.exact:
-            return (self.last > fr) - (self.last < fr)
         # the target lies strictly between the last two convergents
         if fr <= self.lo:
             return 1
@@ -303,6 +292,3 @@ class CFTarget:
         raise PrecisionError(
             f"comparison of {fr} falls inside the certified bracket "
             f"({self.lo}, {self.hi}); supply more continued-fraction terms")
-
-    def abs_diff(self, fr: Fraction):
-        raise PrecisionError("exact distances need a quadratic target")

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .copying import observed_branch
+from .copying import chain_translations
 from .exactnum import QuadRat, QuadraticTarget, floor_exact, mod_interval
 from .numtheory import EvenRational, approximating_sequence, tune
 from .tiling import EDGE_NAMES, TILE_NAMES, build_tiling, scalar_oracle, walk
@@ -80,49 +80,6 @@ def follow(direction: str, pt: PetPoint) -> PetPoint:
     if direction == "empty":
         return pt
     raise ValueError(f"unknown direction {direction!r}")
-
-
-# ---------------------------------------------------------------------------
-# Good offsets
-# ---------------------------------------------------------------------------
-
-def in_q_of_p(x, P) -> bool | None:
-    """Membership of x in Q[P] = {r1 + r2*P}; None when undecidable here.
-
-    For an irrational quadratic P the set Q[P] is the full field Q(sqrt(d)),
-    so membership reduces to comparing radicands.
-    """
-    if isinstance(x, (int, Fraction)):
-        return True
-    if isinstance(x, QuadRat):
-        if x.is_rational:
-            return True
-        if isinstance(P, QuadRat) and not P.is_rational:
-            return x.d == P.d
-        return False
-    return None
-
-
-def good_offset(v: tuple, P) -> str:
-    """'good' | 'bad' | 'undetermined' per the offset criterion.
-
-    ``v`` is the offset triple (V1, V2, V3).  Rational parameters always
-    report 'bad' (wall hits occur); for quadratic irrational parameters the
-    criterion certifies 'good' when V1 lies in Q[P] while V2 and V3 do not.
-    Inputs outside the decidable classes give 'undetermined'.
-    """
-    if isinstance(P, QuadraticTarget):
-        P = P.big_p()
-    rational_p = isinstance(P, (int, Fraction)) or (
-        isinstance(P, QuadRat) and P.is_rational)
-    if rational_p:
-        return "bad"
-    m1, m2, m3 = (in_q_of_p(x, P) for x in v)
-    if m1 is None or m2 is None or m3 is None:
-        return "undetermined"
-    if m1 and not m2 and not m3:
-        return "good"
-    return "undetermined"
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +224,7 @@ def _consistent(points, coords1, coords2, cuts1, cuts2):
     return g1, g2, cell_label
 
 
-def reconstruct_fiber_grid(r: EvenRational, t_value, min_samples: int = 10000
-                           ) -> FiberGridReport:
+def reconstruct_fiber_grid(r: EvenRational, t_value) -> FiberGridReport:
     """Sample tile centers landing on one (U1, U2) fiber and recover the
     4 x 4 rectangle structure of the region partition there.
 
@@ -278,22 +234,22 @@ def reconstruct_fiber_grid(r: EvenRational, t_value, min_samples: int = 10000
     the reconstruction succeeds when some choice of 4 + 4 circular cuts makes
     every cell single-labeled.
     """
-    P = r.big_p
-    t_value = Fraction(t_value) if not isinstance(t_value, QuadRat) else t_value
-    om = r.omega
+    t_value = Fraction(t_value)
+    om, p = r.omega, r.p
+    t_scaled = om * t_value
     bits_at = scalar_oracle(r)
     points: dict[tuple, str] = {}
-    half = Fraction(1, 2)
-    # the reduced image is (omega^2, omega)-periodic in the center grid, so a
-    # wider sweep only revisits fiber points (which doubles as a label check)
-    n_cols = max(om * om, -(-min_samples // om))
-    for a in range(n_cols):
+    # the centers of rows 0..omega-1, held as omega * (T, U1, U2) as in
+    # `orbit`; their reduced image repeats with period omega^2 along a row,
+    # so one period of columns reads each of them.  Rows repeat only with
+    # period 2*omega, and rows omega..2*omega-1 are not read.
+    for a in range(om * om):
         for b in range(om):
-            pt = classify(P, a + half, b + half)
-            if pt.T != t_value:
+            T, U1, U2 = _center_scaled(om, p, a, b)
+            if T != t_scaled:
                 continue
             label = TILE_NAMES[bits_at(a, b)] or "empty"
-            key = (pt.U1, pt.U2)
+            key = (Fraction(U1, om), Fraction(U2, om))
             if key in points and points[key] != label:
                 raise AssertionError(
                     f"fiber point {key} received labels {points[key]} and {label}")
@@ -373,8 +329,14 @@ def limit_experiment(target: QuadraticTarget, epsilon_prefix: tuple[int, ...],
     prefix-selected anchor height, and reports from which chain depth onward
     the window tiling stops changing.
     """
+    if any(e not in (0, 1) for e in epsilon_prefix):
+        raise ValueError(f"prefix digits must be 0 or 1, got {epsilon_prefix}")
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     if depth is None:
         depth = len(epsilon_prefix) + 4
+    elif depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     # grow q_max until the chain supplies enough approximating terms; the
     # terms kept come from q_max <= 2**26, so omega < 2**27 stays far inside
     # the dense kernel's int64 range
@@ -388,13 +350,10 @@ def limit_experiment(target: QuadraticTarget, epsilon_prefix: tuple[int, ...],
             raise ValueError("chain depth unreachable for this target")
     terms = terms[:depth + 1]
     P = target.big_p()
-    ds, shifts, deltas = [], [], []
-    for r0, r1 in zip(terms, terms[1:]):
-        _, t = observed_branch(r0, r1)
-        d = r1.omega - r0.omega - 2 * t
-        ds.append(d)
-        shifts.append(t)
-        deltas.append(mod_interval(P * d, 2, -1))
+    steps = chain_translations(terms)
+    shifts = [t for _, t, _ in steps]
+    ds = [d for _, _, d in steps]
+    deltas = [mod_interval(P * d, 2, -1) for d in ds]
     # the bottom-path anchor of the nested realization sits at the composed
     # child shifts above the first term's low anchor; the binary prefix picks
     # sibling branches, each adding its translation length

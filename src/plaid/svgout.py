@@ -14,6 +14,8 @@ from .tiling import (PlaidTiling, big_polygon, first_block_tiling,
                      trace_polygons)
 
 _LOOP_COLORS = ("#c22", "#26c", "#2a2", "#a2a", "#c82", "#2aa", "#666", "#b44")
+# largest tiling figure, in pixels; a larger one raises SizeGuardError
+_MAX_PIXELS = 16_000_000
 
 
 class SizeGuardError(ValueError):
@@ -59,12 +61,11 @@ class _Canvas:
                 f'fill="none" stroke="{color}" stroke-width="{width}"{d}/>')
 
 
-def render_tiling(tiling: PlaidTiling, scale: int = 16,
-                  max_pixels: int = 16_000_000) -> str:
+def render_tiling(tiling: PlaidTiling, scale: int = 16) -> str:
     r = tiling.parameter
     w, h = tiling.shape
     cv = _Canvas(tiling.x0, tiling.y0, w, h, scale)
-    if cv.width_px * cv.height_px > max_pixels:
+    if cv.width_px * cv.height_px > _MAX_PIXELS:
         raise SizeGuardError(
             f"{cv.width_px}x{cv.height_px} SVG too large; lower the scale or region")
     out = [_header(cv.width_px, cv.height_px),
@@ -111,8 +112,9 @@ def render_copy_overlay(r0: EvenRational, r1: EvenRational, translation: int,
     return base.replace("</svg>", "\n".join(extra) + "\n</svg>")
 
 
-def render_fiber(report, scale: int = 240) -> str:
+def render_fiber(report) -> str:
     """The reconstructed 4x4 fiber grid: sample points and recovered walls."""
+    scale = 240  # pixels per unit of U1 and U2
     out = [_header(2 * scale + 40, 2 * scale + 40),
            f'<rect width="{2 * scale + 40}" height="{2 * scale + 40}" fill="#fff"/>']
 

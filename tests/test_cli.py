@@ -43,6 +43,37 @@ def test_verify_tree_depth_below_one_is_usage_error(capsys):
     assert run(["verify", "tree", "2/5", "--depth", "1"]) == 0
 
 
+GOLDEN_SPEC = "quad:(-1,1,2,5)"
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--prefix", "2", "prefix digits must be 0 or 1"),
+    ("--prefix", "012", "prefix digits must be 0 or 1"),
+    ("--window", "0", "window must be at least 1"),
+    ("--window", "-2", "window must be at least 1"),
+    ("--depth", "0", "depth must be at least 1"),
+    ("--depth", "-1", "depth must be at least 1"),
+])
+def test_pet_limit_rejects_bad_inputs(option, value, message, capsys):
+    argv = ["pet", "limit", "--irrational", GOLDEN_SPEC, "--depth", "3",
+            option, value]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["pet", "orbit", "5/12", "--square", "0,5"],
+    ["pet", "limit", "--irrational", GOLDEN_SPEC, "--prefix", "01",
+     "--depth", "3"],
+])
+def test_pet_svg_only_for_fiber(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--svg", "x.svg", "--json", "x.json"]) == 2
+    assert "--svg is for pet fiber" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_hier_totals_match_scalar_counts():
     # check_hier reduces the edge kernel's counts; rebuild its totals from
     # the scalar light test and the scalar horizontal edge count
@@ -114,6 +145,7 @@ def test_verify_copy_unit_agrees_with_sweep(tmp_path):
     ["pet", "orbit", "5/12", "--seed", "1"],
     ["verify", "box", "--sweep", "9"],
     ["render", "tile", "5/18", "--svg", "x.svg"],
+    ["pet", "fiber", "2/5", "--samples", "100"],
 ])
 def test_removed_options_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

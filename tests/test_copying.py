@@ -7,17 +7,21 @@ from pathlib import Path
 import pytest
 
 import plaid
+from plaid import copying
 from plaid.alignment import Rect
 from plaid.checks import even_rationals
 from plaid.copying import (align, box_r, box_width_by_scan,
-                           capacity_two_lines, comparison_pair,
-                           connecting_chain, eta, even_predecessor,
+                           capacity_two_lines, chain_translations,
+                           comparison_pair, connecting_chain, eta,
+                           even_predecessor,
                            observed_branch, omni2_check, realize_tree,
                            sigma_core, sigma_weak_strong,
                            translation_candidates, verify_box_lemma,
                            verify_copy, verify_copy_theorem)
+from plaid.exactnum import QuadRat, QuadraticTarget
 from plaid.numtheory import (EvenRational, kappa, main_identity,
                              predecessor_chain, tune)
+from plaid.pet import limit_experiment
 from plaid.tiling import big_polygon
 
 
@@ -193,6 +197,26 @@ def test_realize_tree_depth_one_and_errors():
         realize_tree(terms[:2], 3)
 
 
+def test_chain_translations_check_every_length(monkeypatch):
+    terms = predecessor_chain(ER(12, 29)).approximating_terms()
+    steps = chain_translations(terms)
+    assert [d for _, _, d in steps] == realize_tree(terms, 4).translations
+    # a translation one row off gives a length that is no eta_k -+ eta_(k-1),
+    # in the tree realization and in the limit experiment alike
+    true_branch = copying.observed_branch
+
+    def one_row_off(r0, r1):
+        branch, t = true_branch(r0, r1)
+        return branch, t + 1
+
+    monkeypatch.setattr(copying, "observed_branch", one_row_off)
+    with pytest.raises(AssertionError, match="translation length"):
+        realize_tree(terms, 3)
+    with pytest.raises(AssertionError, match="translation length"):
+        limit_experiment(QuadraticTarget(QuadRat(-1, 1, 2, 5)), (0,),
+                         window=2, depth=3)
+
+
 def test_anchor_clusters_realized_on_traced_polygons():
     # the composed copy translations predict a binary cluster of column-0
     # crossing heights; every predicted anchor (and its mirror) must appear
@@ -203,11 +227,9 @@ def test_anchor_clusters_realized_on_traced_polygons():
         terms = predecessor_chain(r).approximating_terms()
         if len(terms) < 2 or terms[0].is_zero:
             continue
-        ts, ds = [], []
-        for a, b in zip(terms, terms[1:]):
-            _, t = observed_branch(a, b)
-            ts.append(t)
-            ds.append(b.omega - a.omega - 2 * t)
+        steps = chain_translations(terms)
+        ts = [t for _, t, _ in steps]
+        ds = [d for _, _, d in steps]
         base = tune(terms[0]).tau + sum(ts)
         pred = set()
         for k in range(len(ds) + 1):

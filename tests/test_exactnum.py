@@ -95,6 +95,3 @@ def test_cf_target_certified_window():
     assert t.cmp_fraction(Fraction(5, 8)) < 0
     with pytest.raises(PrecisionError):
         t.cmp_fraction(Fraction(61, 100))  # inside the open bracket
-
-    exact = CFTarget([0, 2, 3], exact=True)  # exactly 3/7
-    assert exact.cmp_fraction(Fraction(3, 7)) == 0

@@ -17,7 +17,7 @@ from plaid.exactnum import QuadRat, QuadraticTarget
 from plaid.numtheory import EvenRational, approximating_sequence, tune
 from plaid.pet import (OrbitResult, _center_scaled, _follow_scaled,
                        _moves_scaled, _reduce_scaled, classify, classify_raw,
-                       follow, good_offset, limit_experiment, orbit,
+                       follow, limit_experiment, orbit,
                        reconstruct_fiber_grid, reduce_point)
 from plaid.tiling import (_MAX_OMEGA, EDGE_NAMES, big_polygon, build_tiling,
                           first_block_tiling, scalar_oracle, trace_polygons,
@@ -72,17 +72,6 @@ def test_conjugacy_quadratic_parameter():
     pt = classify(P, Fraction(1, 2), Fraction(5, 2))
     assert follow("S", pt) == classify(P, Fraction(1, 2), Fraction(3, 2))
     assert follow("E", pt) == classify(P, Fraction(3, 2), Fraction(5, 2))
-
-
-def test_good_offset_criterion():
-    P = GOLDEN.big_p()  # in Q(sqrt 5)
-    root2 = QuadRat(0, 1, 3, 2)
-    assert good_offset((Fraction(1, 3), root2, root2 * 5), P) == "good"
-    assert good_offset((0, 0, 0), Fraction(4, 7)) == "bad"  # rational parameter
-    assert good_offset((root2, root2, root2), P) == "undetermined"
-    # V1 fine but a U offset inside Q[P]: the criterion cannot certify
-    inq = QuadRat(1, 2, 3, 5)
-    assert good_offset((0, inq, root2), P) == "undetermined"
 
 
 @cache
@@ -233,7 +222,7 @@ def test_orbit_conjugacy_check_survives_python_O():
 
 def test_fiber_grid_2_5():
     r = EvenRational(2, 5)
-    rep = reconstruct_fiber_grid(r, r.big_p + 1, min_samples=10000)
+    rep = reconstruct_fiber_grid(r, r.big_p + 1)
     assert rep.grid_ok
     assert len(rep.u1_cells) == 4 and len(rep.u2_cells) == 4
     labels = [l for row in rep.labels for l in row]
@@ -251,7 +240,7 @@ def test_fiber_grid_2_5():
 def test_fiber_grid_other_parameters():
     for pq, t_shift in (((1, 2), 1), ((3, 8), 1), ((2, 5), -1)):
         r = EvenRational(*pq)
-        rep = reconstruct_fiber_grid(r, r.big_p + t_shift, min_samples=4000)
+        rep = reconstruct_fiber_grid(r, r.big_p + t_shift)
         assert rep.grid_ok, (pq, rep.reason)
 
 
