@@ -189,8 +189,9 @@ def special_index_harmless(r_big: EvenRational, sigma: Rect, j_big: int) -> bool
         C = cap_scaled(r_big, x)
         for slope in (2 * r_big.p, 2 * r_big.q):
             for j_eff, ysign in ((j_big, -1), (j_big, +1)):
-                y = Fraction(j_eff * om + ysign * slope * x, om)
-                if not (sigma.y0 <= y <= sigma.y1):
+                # the point's height is (j_eff * omega + ysign * slope * x) / omega
+                if not (sigma.y0 * om <= j_eff * om + ysign * slope * x
+                        <= sigma.y1 * om):
                     continue
                 # shade of the point via its negative-slope line
                 j_neg = j_eff if ysign < 0 else j_eff + 2 * x
@@ -268,13 +269,14 @@ def psi_xi_audit(r_prev: EvenRational, r: EvenRational) -> BoundReport:
     Capacity side: Psi(i) = 4i/omega must stay below l_i + 2*lambda.  Mass
     side: Xi(j) = 2|j|/omega below l_j + lambda, with the case-specific
     exceptional indices where the margin l_j is 1.  Ground-truth sign
-    equality is asserted independently of the inequalities.
+    equality is asserted independently of the inequalities.  With
+    lambda = omega'/omega, each inequality is compared times omega, in
+    integers.
     """
     case = classify_case(r_prev, r)
     rep = BoundReport((str(r_prev), str(r)), case)
     om, omp = r.omega, r_prev.omega
     tp = tune(r_prev).tau
-    lam = Fraction(omp, om)
     W, H = sigma_dimensions(r_prev, r)
 
     # capacities: Psi(i) = 4i/omega, l = 1 suffices throughout
@@ -283,14 +285,14 @@ def psi_xi_audit(r_prev: EvenRational, r: EvenRational) -> BoundReport:
     for i in range(1, W + 1):
         Ci, Cpi = cap_scaled(r, i), cap_scaled(r_prev, i)
         li = min(abs(Cpi), omp - abs(Cpi))
-        if Fraction(4 * i, om) >= li + 2 * lam:
+        if 4 * i >= li * om + 2 * omp:
             psi_ok = False
             rep.exceptions.append(("capacity", i))
         if (Ci > 0) != (Cpi > 0):
             cap_ok = False
     rep.checks["capacity_signs"] = cap_ok
     rep.checks["psi_bound"] = psi_ok
-    rep.checks["psi_global"] = Fraction(4 * W, om) < 1 + 2 * lam
+    rep.checks["psi_global"] = 4 * W < om + 2 * omp
 
     # masses over the extended index range
     sigma = Rect(0, W, 0, H)
@@ -303,7 +305,7 @@ def psi_xi_audit(r_prev: EvenRational, r: EvenRational) -> BoundReport:
         if j % omp == 0:
             continue  # special: harmlessness handles it
         lj = min(abs(Mpj), omp - abs(Mpj))
-        if Fraction(2 * abs(j), om) >= lj + lam:
+        if 2 * abs(j) >= lj * om + omp:
             xi_ok = False
             exceptional.append(j)
         if (Mj > 0) != (Mpj > 0):
@@ -319,9 +321,8 @@ def psi_xi_audit(r_prev: EvenRational, r: EvenRational) -> BoundReport:
             abs(mass_scaled(r_prev, j)) in (1, omp - 1) for j in exceptional)
         ones = [j for j in exceptional if abs(mass_scaled(r_prev, j)) == 1]
         rep.checks["xi_unit_indices"] = all(j in allowed for j in ones)
-        rep.checks["xi_unit_bound"] = all(
-            Fraction(2 * abs(j), om) < 1 + lam for j in ones)
-        rep.checks["xi_global2"] = Fraction(2 * (H + 2 * W - 1), om) < 2
+        rep.checks["xi_unit_bound"] = all(2 * abs(j) < om + omp for j in ones)
+        rep.checks["xi_global2"] = H + 2 * W - 1 < om
         if exceptional:
             rep.exceptions.append(("mass-exceptional", exceptional))
 
@@ -343,15 +344,15 @@ def core_mass_audit(r_hat: EvenRational, r: EvenRational) -> BoundReport:
     xi = (om - omh) // 2
     th = tune(r_hat).tau
 
-    # exact slope gap and the mass step across one small period
-    rep.checks["slope_gap"] = (
-        abs(r.big_p - r_hat.big_p) == Fraction(4 * k, om * omh))
+    # exact slope gap |P - P_hat| = 4k/(omega*omega_hat), times omega*omega_hat/2,
+    # and the mass step across one small period
+    rep.checks["slope_gap"] = abs(r.p * omh - r_hat.p * om) == 2 * k
     step = (2 * r.p * omh) % (2 * om)
     step = step - 2 * om if step > om else step
     rep.checks["gap_step"] = abs(step) == 4 * k  # [P*omega_hat] = +-4k/omega
 
     # capacity side: Psi(i) = 8k i / omega < 4 over the box width
-    rep.checks["psi_capacity"] = Fraction(8 * k * th, om) < 4
+    rep.checks["psi_capacity"] = 8 * k * th < 4 * om
     cap_ok = True
     for i in range(1, th + 1):
         if (cap_scaled(r, i) > 0) != (cap_scaled(r_hat, i) > 0):

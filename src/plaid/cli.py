@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .checks import CHECKS, even_rationals, run_sweep
-from .exactnum import QuadraticTarget, parse_irrational
+from .exactnum import parse_irrational
 from .numtheory import (EvenRational, approximating_sequence, diophantine_check,
                         kappa, pair_kind, predecessor_chain, tune, verify_omnibus)
 from .grid import cap_scaled, mass_scaled
@@ -57,11 +57,10 @@ def cmd_chain(args) -> int:
     if args.irrational:
         target = parse_irrational(args.irrational)
         chain = approximating_sequence(target, args.qmax)
+        dio = diophantine_check(target, chain)
     else:
-        if not args.param:
-            print("error: chain needs a parameter or --irrational", file=sys.stderr)
-            return 2
         chain = predecessor_chain(EvenRational.parse(args.param))
+        dio = None
     terms = []
     for i, term in enumerate(chain.terms):
         row = {"p": term.p, "q": term.q}
@@ -85,8 +84,7 @@ def cmd_chain(args) -> int:
     target_term = str(chain.terms[-1])
     payload["omnibus"] = per_term.get(target_term, {})
     payload["omnibus_chain"] = per_term
-    if args.irrational and isinstance(target, QuadraticTarget):
-        dio = diophantine_check(target, chain)
+    if dio is not None:
         payload["diophantine"] = [
             {"p": e["p"], "q": e["q"], "class": e["class"],
              "bound_ok": e["bound_ok"]} for e in dio.entries]
@@ -190,101 +188,77 @@ def cmd_align(args) -> int:
     return report(args, payload, failures)
 
 
-def cmd_verify(args) -> int:
-    failures = []
-    payload = {"what": args.what}
+def cmd_verify_box(args) -> int:
     r = EvenRational.parse(args.param)
-    if args.what == "box":
-        rep = copying.verify_box_lemma(r)
-        payload.update(param=str(r), width=rep.width, crossings=rep.crossings,
-                       single_arc=rep.single_arc, barrier=rep.barrier,
-                       ok=rep.ok)
-        if not rep.ok:
-            failures.append(str(r))
-    elif args.what == "copy":
-        ok, detail = CHECKS["copy"](r)
-        payload.update(param=str(r), regime=pair_kind(r), ok=ok,
-                       **({"detail": detail} if detail else {}))
-        if not ok:
-            failures.append(str(r))
-    elif args.what == "tree":
-        chain = predecessor_chain(r)
-        terms = chain.approximating_terms()
-        if args.depth is not None and args.depth < 1:
-            raise ValueError(f"--depth must be at least 1, got {args.depth}")
-        real = copying.realize_tree(terms, min(args.depth or len(terms), len(terms)))
-        payload.update(param=str(r), depth=real.depth,
-                       terms=[str(t) for t in real.terms],
-                       translations=real.translations,
-                       branches=real.branches, etas=real.etas,
-                       vertices=len(real.boxes), ok=True)
-    return report(args, payload, failures)
+    rep = copying.verify_box_lemma(r)
+    payload = {"what": args.what, "param": str(r), "width": rep.width,
+               "crossings": rep.crossings, "single_arc": rep.single_arc,
+               "barrier": rep.barrier, "ok": rep.ok}
+    return report(args, payload, [] if rep.ok else [str(r)])
 
 
-def cmd_pet(args) -> int:
-    failures = []
-    if args.svg and args.what != "fiber":
-        print(f"error: pet {args.what} writes no SVG; --svg is for pet fiber",
-              file=sys.stderr)
-        return 2
-    if args.what != "limit":
-        if not args.param:
-            print(f"error: pet {args.what} needs a parameter", file=sys.stderr)
-            return 2
-        r = EvenRational.parse(args.param)
-    if args.what == "orbit":
-        square = tuple(int(t) for t in args.square.split(","))
-        res = pet.orbit(r, square, max_steps=args.max_steps)
-        payload = {"param": str(r), "start": list(res.start),
-                   "steps": [{"dir": s["dir"], "square": list(s["square"])}
-                             for s in res.steps],
-                   "closed": res.closed, "period": res.period,
-                   "truncated": res.truncated}
-        if res.truncated:
-            failures.append("truncated")
-    elif args.what == "fiber":
-        t_value = _parse_t_value(args.t, r)
-        rep = pet.reconstruct_fiber_grid(r, t_value)
-        payload = {"param": str(r), "t": str(rep.t_value),
-                   "points": len(rep.points), "grid_ok": rep.grid_ok,
-                   "u1_cells": [[str(a), str(b)] for a, b in rep.u1_cells],
-                   "u2_cells": [[str(a), str(b)] for a, b in rep.u2_cells],
-                   "labels": rep.labels}
-        if not rep.grid_ok:
-            failures.append("grid")
-        if args.svg:
-            write_text_atomic(args.svg, svgout.render_fiber(rep))
-    else:  # limit
-        if not args.irrational:
-            print("error: pet limit needs --irrational", file=sys.stderr)
-            return 2
-        target = parse_irrational(args.irrational)
-        if not isinstance(target, QuadraticTarget):
-            print("error: translation-length decay needs an exact quadratic "
-                  "target (quad:(a,b,c,d))", file=sys.stderr)
-            return 2
-        prefix = tuple(int(c) for c in args.prefix)
-        rep = pet.limit_experiment(target, prefix, window=args.window,
-                                   depth=args.depth)
-        payload = {"prefix": list(rep.prefix), "window": rep.window,
-                   "depths": rep.depths, "stable_from": rep.stable_from,
-                   "anchors": rep.anchors,
-                   "deltas": [str(d) for d in rep.deltas],
-                   "cluster_size": len(rep.cluster)}
-        if rep.stable_from is None:
-            failures.append("no stabilization in range")
-    return report(args, payload, failures)
+def cmd_verify_copy(args) -> int:
+    r = EvenRational.parse(args.param)
+    ok, detail = CHECKS["copy"](r)
+    payload = {"what": args.what, "param": str(r), "regime": pair_kind(r),
+               "ok": ok, **({"detail": detail} if detail else {})}
+    return report(args, payload, [] if ok else [str(r)])
 
 
-def _parse_t_value(text: str, r: EvenRational):
-    P = r.big_p
-    if text.strip() in ("P", "p"):
-        return P
-    if text.strip() in ("P+1", "p+1"):
-        return P + 1
-    if text.strip() in ("P-1", "p-1"):
-        return P - 1
-    return Fraction(text)
+def cmd_verify_tree(args) -> int:
+    r = EvenRational.parse(args.param)
+    terms = predecessor_chain(r).approximating_terms()
+    if args.depth is not None and args.depth < 1:
+        raise ValueError(f"--depth must be at least 1, got {args.depth}")
+    real = copying.realize_tree(terms, min(args.depth or len(terms), len(terms)))
+    payload = {"what": args.what, "param": str(r), "depth": real.depth,
+               "terms": [str(t) for t in real.terms],
+               "translations": real.translations, "branches": real.branches,
+               "etas": real.etas, "vertices": len(real.boxes), "ok": True}
+    return report(args, payload, [])
+
+
+def cmd_pet_orbit(args) -> int:
+    r = EvenRational.parse(args.param)
+    square = tuple(int(t) for t in args.square.split(","))
+    res = pet.orbit(r, square, max_steps=args.max_steps)
+    payload = {"param": str(r), "start": list(res.start),
+               "steps": [{"dir": s["dir"], "square": list(s["square"])}
+                         for s in res.steps],
+               "closed": res.closed, "period": res.period,
+               "truncated": res.truncated}
+    return report(args, payload, ["truncated"] if res.truncated else [])
+
+
+_T_SHIFTS = {"P": 0, "P+1": 1, "P-1": -1}  # --t written relative to P = 2p/omega
+
+
+def cmd_pet_fiber(args) -> int:
+    r = EvenRational.parse(args.param)
+    shift = _T_SHIFTS.get(args.t.strip().upper())
+    rep = pet.reconstruct_fiber_grid(
+        r, Fraction(args.t) if shift is None else r.big_p + shift)
+    payload = {"param": str(r), "t": str(rep.t_value),
+               "points": len(rep.points), "grid_ok": rep.grid_ok,
+               "u1_cells": [[str(a), str(b)] for a, b in rep.u1_cells],
+               "u2_cells": [[str(a), str(b)] for a, b in rep.u2_cells],
+               "labels": rep.labels}
+    if args.svg:
+        write_text_atomic(args.svg, svgout.render_fiber(rep))
+    return report(args, payload, [] if rep.grid_ok else ["grid"])
+
+
+def cmd_pet_limit(args) -> int:
+    rep = pet.limit_experiment(parse_irrational(args.irrational),
+                               tuple(int(c) for c in args.prefix),
+                               window=args.window, depth=args.depth)
+    payload = {"prefix": list(rep.prefix), "window": rep.window,
+               "depths": rep.depths, "stable_from": rep.stable_from,
+               "anchors": rep.anchors,
+               "deltas": [str(d) for d in rep.deltas],
+               "cluster_size": len(rep.cluster)}
+    return report(args, payload, [] if rep.stable_from is not None
+                  else ["no stabilization in range"])
 
 
 def cmd_render(args) -> int:
@@ -323,64 +297,66 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per command and per mode, each declaring exactly the inputs
+    its handler reads, so argparse rejects every other option (exit 2)."""
     ap = argparse.ArgumentParser(prog="plaid", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, svg=True):
+    def command(parent, name, fn, *positionals, svg=False, help=None):
+        p = parent.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
         p.add_argument("--json", metavar="PATH")
         if svg:
             p.add_argument("--svg", metavar="PATH")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("chain", help="predecessor chain and identity report")
-    p.add_argument("param", nargs="?")
-    p.add_argument("--irrational", metavar="SPEC",
-                   help="quad:(a,b,c,d) or cf:[0;a1,a2,...]")
+    p = command(sub, "chain", cmd_chain,
+                help="predecessor chain and identity report")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("param", nargs="?")
+    target.add_argument("--irrational", metavar="SPEC",
+                        help="quad:(a,b,c,d) or cf:[0;a1,a2,...]")
     p.add_argument("--qmax", type=int, default=100)
-    common(p, svg=False)
-    p.set_defaults(fn=cmd_chain)
 
-    p = sub.add_parser("lines", help="capacity and mass tables")
-    p.add_argument("param")
-    common(p, svg=False)
-    p.set_defaults(fn=cmd_lines)
+    command(sub, "lines", cmd_lines, "param", help="capacity and mass tables")
 
-    p = sub.add_parser("tile", help="tiling of one block")
-    p.add_argument("param")
+    p = command(sub, "tile", cmd_tile, "param", svg=True,
+                help="tiling of one block")
     p.add_argument("--block", type=int, default=0)
     p.add_argument("--scale", type=int, default=16)
-    common(p)
-    p.set_defaults(fn=cmd_tile)
 
-    p = sub.add_parser("polygon", help="the distinguished big polygon")
-    p.add_argument("param")
-    common(p, svg=False)
-    p.set_defaults(fn=cmd_polygon)
+    command(sub, "polygon", cmd_polygon, "param",
+            help="the distinguished big polygon")
+    command(sub, "align", cmd_align, "small", "big",
+            help="alignment predicates for a pair")
 
-    p = sub.add_parser("align", help="alignment predicates for a pair")
-    p.add_argument("small")
-    p.add_argument("big")
-    common(p, svg=False)
-    p.set_defaults(fn=cmd_align)
-
-    p = sub.add_parser("verify", help="box / copy / tree verification")
-    p.add_argument("what", choices=("box", "copy", "tree"))
-    p.add_argument("param")
+    modes = sub.add_parser("verify", help="box / copy / tree verification"
+                           ).add_subparsers(dest="what", required=True)
+    command(modes, "box", cmd_verify_box, "param", help="box lemma")
+    command(modes, "copy", cmd_verify_copy, "param",
+            help="the applicable copy lemma")
+    p = command(modes, "tree", cmd_verify_tree, "param",
+                help="nested marked-box realization")
     p.add_argument("--depth", type=int)
-    common(p, svg=False)
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("pet", help="classifying-space dynamics")
-    p.add_argument("what", choices=("orbit", "fiber", "limit"))
-    p.add_argument("param", nargs="?")
+    modes = sub.add_parser("pet", help="classifying-space dynamics"
+                           ).add_subparsers(dest="what", required=True)
+    p = command(modes, "orbit", cmd_pet_orbit, "param", help="curve-following orbit")
     p.add_argument("--square", default="0,0", help="start square a,b")
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--t", default="P+1", help="fiber T value (P, P+1, P-1 or n/d)")
-    p.add_argument("--irrational", metavar="SPEC")
+    p = command(modes, "fiber", cmd_pet_fiber, "param", svg=True,
+                help="fiber-grid reconstruction")
+    p.add_argument("--t", default="P+1", help="fiber T value: P+1, P-1 or n/d, "
+                   "with omega*T an odd integer in [-2*omega, 2*omega)")
+    p = command(modes, "limit", cmd_pet_limit,
+                help="translated-window stabilization")
+    p.add_argument("--irrational", metavar="SPEC", required=True,
+                   help="quad:(a,b,c,d)")
     p.add_argument("--prefix", default="0")
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--depth", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_pet)
 
     p = sub.add_parser("render", help="SVG figures")
     p.add_argument("what", choices=("copy",))
@@ -390,15 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", required=True)
     p.set_defaults(fn=cmd_render)
 
-    p = sub.add_parser("sweep", help="bulk verification sweeps")
+    p = command(sub, "sweep", cmd_sweep, help="bulk verification sweeps")
     p.add_argument("--max-omega", type=int, required=True)
     p.add_argument("--checks", default="coherence,box")
     p.add_argument("--filter", default="all",
                    choices=("all", "weak", "strong", "core"))
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: PLAID_WORKERS)")
-    common(p, svg=False)
-    p.set_defaults(fn=cmd_sweep)
     return ap
 
 

@@ -316,8 +316,13 @@ class DiophantineReport:
         return all(e["bound_ok"] for e in self.entries if e["covered"])
 
 
-def diophantine_check(target: QuadraticTarget, chain: PredecessorChain) -> DiophantineReport:
-    """|A - p_k/q_k| < 48/q_k^2 for every non-weak term (Diophantine bound)."""
+def diophantine_check(target: IrrationalTarget,
+                      chain: PredecessorChain) -> DiophantineReport | None:
+    """|A - p_k/q_k| < 48/q_k^2 for every non-weak term (Diophantine bound).
+
+    None for a continued-fraction target, whose distances are not exact."""
+    if not isinstance(target, QuadraticTarget):
+        return None
     entries = []
     for k, term in enumerate(chain.terms):
         if term.is_zero:

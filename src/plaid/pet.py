@@ -233,10 +233,19 @@ def reconstruct_fiber_grid(r: EvenRational, t_value) -> FiberGridReport:
     a wall between them; remaining walls are completed by a small search and
     the reconstruction succeeds when some choice of 4 + 4 circular cuts makes
     every cell single-labeled.
+
+    Every centre has omega * T odd (omega is odd and omega * T = 2p(2a + 1) +
+    omega(2b + 1)), so ``t_value`` must make omega * T an odd integer in
+    [-2 omega, 2 omega); any other T holds no centre and raises ValueError.
+    The centres read below reach every such T.
     """
     t_value = Fraction(t_value)
     om, p = r.omega, r.p
     t_scaled = om * t_value
+    if (t_scaled.denominator != 1 or t_scaled % 2 != 1
+            or not -2 * om <= t_scaled < 2 * om):
+        raise ValueError(f"fiber T = {t_value} holds no square centre of {r}: "
+                         f"omega*T must be an odd integer in [{-2 * om}, {2 * om})")
     bits_at = scalar_oracle(r)
     points: dict[tuple, str] = {}
     # the centers of rows 0..omega-1, held as omega * (T, U1, U2) as in
@@ -254,9 +263,6 @@ def reconstruct_fiber_grid(r: EvenRational, t_value) -> FiberGridReport:
                 raise AssertionError(
                     f"fiber point {key} received labels {points[key]} and {label}")
             points[key] = label
-    if not points:
-        return FiberGridReport(r, t_value, points, [], [], False, [],
-                               reason="empty fiber")
     u1s = sorted({u for u, _ in points})
     u2s = sorted({v for _, v in points})
     forced1 = _forced_cuts(u1s, points, 0)
@@ -312,7 +318,7 @@ class LimitReport:
     stable_from: int | None
     anchors: list[int]
     deltas: list  # [P d_k]_2 values along the chain
-    cluster: list  # developed partial-sum spread
+    cluster: set  # developed partial-sum spread
 
 
 def window_tiles(r: EvenRational, cx: int, cy: int, w: int) -> np.ndarray:
@@ -329,6 +335,9 @@ def limit_experiment(target: QuadraticTarget, epsilon_prefix: tuple[int, ...],
     prefix-selected anchor height, and reports from which chain depth onward
     the window tiling stops changing.
     """
+    if not isinstance(target, QuadraticTarget):
+        raise ValueError("translation-length decay needs an exact quadratic "
+                         "target (quad:(a,b,c,d))")
     if any(e not in (0, 1) for e in epsilon_prefix):
         raise ValueError(f"prefix digits must be 0 or 1, got {epsilon_prefix}")
     if window < 1:
@@ -370,9 +379,8 @@ def limit_experiment(target: QuadraticTarget, epsilon_prefix: tuple[int, ...],
             stable_from = depths[i]
             break
     # developed binary cluster of the partial sums of the deltas
-    sums = {P * 0}
+    cluster = {P * 0}
     for d in deltas[:12]:
-        sums |= {s + d for s in sums}
-    cluster = sorted(sums)
+        cluster |= {s + d for s in cluster}
     return LimitReport(tuple(epsilon_prefix), window, depths, stable_from,
                        anchors, deltas, cluster)

@@ -23,14 +23,19 @@ def load_stripped(path):
     return data
 
 
-def test_usage_error_exit_codes(capsys):
+def test_usage_error_exit_codes(tmp_path, monkeypatch, capsys):
     assert run(["tile", "5/3"]) == 2  # not in (0, 1)
     assert run(["tile", "3/5"]) == 2  # odd rational
     assert run(["chain", "4/6"]) == 2  # not reduced
     capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
     for what in ("orbit", "fiber"):
-        assert run(["pet", what]) == 2
-        assert capsys.readouterr().err == f"error: pet {what} needs a parameter\n"
+        with pytest.raises(SystemExit) as exc:
+            run(["pet", what, "--json", "x.json"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: param" in err
+    assert list(tmp_path.iterdir()) == []
     with pytest.raises(SystemExit) as exc:
         run(["bogus"])
     assert exc.value.code == 2
@@ -53,6 +58,9 @@ GOLDEN_SPEC = "quad:(-1,1,2,5)"
     ("--window", "-2", "window must be at least 1"),
     ("--depth", "0", "depth must be at least 1"),
     ("--depth", "-1", "depth must be at least 1"),
+    # the last --irrational wins: a continued-fraction target has no exact P
+    ("--irrational", "cf:[0;" + ",".join("1" * 14) + "]",
+     "needs an exact quadratic target"),
 ])
 def test_pet_limit_rejects_bad_inputs(option, value, message, capsys):
     argv = ["pet", "limit", "--irrational", GOLDEN_SPEC, "--depth", "3",
@@ -69,8 +77,43 @@ def test_pet_limit_rejects_bad_inputs(option, value, message, capsys):
 ])
 def test_pet_svg_only_for_fiber(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert run(argv + ["--svg", "x.svg", "--json", "x.json"]) == 2
-    assert "--svg is for pet fiber" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--svg", "x.svg", "--json", "x.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --svg x.svg" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["pet", "fiber", "2/5", "--square", "9,9", "--window", "3",
+                  "--prefix", "111", "--max-steps", "1", "--depth", "2"],
+                 id="pet-fiber-orbit-and-limit-options"),
+    pytest.param(["pet", "orbit", "5/12", "--t", "P-1", "--window", "2"],
+                 id="pet-orbit-fiber-and-limit-options"),
+    pytest.param(["verify", "box", "7/18", "--depth", "5"], id="verify-box-depth"),
+    pytest.param(["verify", "copy", "7/18", "--depth", "2"], id="verify-copy-depth"),
+    pytest.param(["chain", "12/29", "--irrational", GOLDEN_SPEC],
+                 id="chain-param-and-irrational"),
+    pytest.param(["pet"], id="pet-without-mode"),
+    pytest.param(["verify"], id="verify-without-mode"),
+])
+def test_unread_options_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    # each mode's parser declares only the inputs its handler reads
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--json", "x.json"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t", ["P", "1/3"])
+def test_pet_fiber_t_without_centres_is_usage_error(t, tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["pet", "fiber", "2/5", "--t", t, "--json", "x.json",
+                "--svg", "x.svg"]) == 2
+    assert "holds no square centre" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -244,6 +244,28 @@ def test_fiber_grid_other_parameters():
         assert rep.grid_ok, (pq, rep.reason)
 
 
+def test_fiber_t_values_are_exactly_the_odd_scaled_ones():
+    # the omega^2 x omega centres that reconstruct_fiber_grid reads reach
+    # every odd omega*T in [-2 omega, 2 omega), and no other T
+    for r in even_rationals(15):
+        om, p = r.omega, r.p
+        reached = {_center_scaled(om, p, a, b)[0]
+                   for a in range(om * om) for b in range(om)}
+        assert reached == set(range(1 - 2 * om, 2 * om, 2)), r
+
+
+def test_fiber_rejects_t_without_centres():
+    # at 2/5 (omega 7) a centre has 7*T odd in [-14, 14)
+    r = EvenRational(2, 5)
+    for t in (r.big_p, Fraction(1, 3), Fraction(7, 5), Fraction(15, 7),
+              Fraction(-15, 7), Fraction(2)):
+        with pytest.raises(ValueError, match="holds no square centre"):
+            reconstruct_fiber_grid(r, t)
+    # the ends of the range: -13/7 holds centres, 13/7 too
+    assert reconstruct_fiber_grid(r, Fraction(-13, 7)).points
+    assert reconstruct_fiber_grid(r, Fraction(13, 7)).points
+
+
 def test_limit_experiment_prefixes_differ():
     rep0 = limit_experiment(GOLDEN, (0, 0), window=4, depth=4)
     rep1 = limit_experiment(GOLDEN, (1, 0), window=4, depth=4)
