@@ -17,12 +17,12 @@ from math import gcd
 
 import numpy as np
 
-from . import copying, pet
+from . import copying
 from .grid import cap_scaled
 from .numtheory import (EvenRational, kappa, main_identity, pair_kind,
                         predecessor_chain, tune, verify_omnibus)
-from .tiling import (_edge_counts, big_polygon, build_tiling,
-                     first_block_tiling, trace_polygons)
+from .tiling import (TILE_NAMES, _edge_counts, big_polygon, build_tiling,
+                     first_block_tiling, scalar_oracle)
 
 
 def even_rationals(max_omega: int, start: int = 3, regime: str = "all"):
@@ -122,22 +122,24 @@ def check_copytheorem(r: EvenRational) -> tuple[bool, str]:
 
 
 def check_pet(r: EvenRational) -> tuple[bool, str]:
-    tiling = first_block_tiling(r)
-    loops = trace_polygons(tiling)
-    covered = set()
-    for loop in loops:
-        res = pet.orbit(r, loop.squares[0])
-        if not res.closed or res.period != len(loop):
-            return False, f"orbit at {loop.squares[0]} period {res.period} != {len(loop)}"
-        if set(res.squares()) != loop.center_set():
-            return False, f"orbit at {loop.squares[0]} wanders off its loop"
-        covered |= loop.center_set()
-    if len(covered) != int(np.count_nonzero(tiling.tiles)):
-        return False, "loops do not partition the connector squares"
-    for sq in map(tuple, np.argwhere(tiling.tiles == 0)[:3].tolist()):
-        res = pet.orbit(r, sq)
-        if not (res.closed and res.period == 0):
-            return False, f"empty square {sq} is not a fixed point"
+    """The dense first block and the scalar oracle agree at every square.
+
+    Orbits follow the scalar oracle's connectors, and the classifying map
+    conjugates each unit step to its translation whatever the tiles are, so
+    the PET dynamics of the block stand or fall with these tiles.  The
+    detail names the least square, in (a, b) order, that differs.
+    """
+    om = r.omega
+    dense = first_block_tiling(r).tiles.tolist()
+    bits_at = scalar_oracle(r)
+    for a in range(om):
+        for b in range(om):
+            scalar = bits_at(a, b)
+            if dense[a][b] != scalar:
+                return False, (
+                    f"square ({a},{b}) is {TILE_NAMES[dense[a][b]] or 'empty'} "
+                    f"in the dense tiling and {TILE_NAMES[scalar] or 'empty'} "
+                    f"in the scalar oracle")
     return True, ""
 
 

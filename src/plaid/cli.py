@@ -56,7 +56,8 @@ def report(args, payload: dict, failures: list) -> int:
 def cmd_chain(args) -> int:
     if args.irrational:
         target = parse_irrational(args.irrational)
-        chain = approximating_sequence(target, args.qmax)
+        chain = approximating_sequence(
+            target, 100 if args.qmax is None else args.qmax)
         dio = diophantine_check(target, chain)
     else:
         chain = predecessor_chain(EvenRational.parse(args.param))
@@ -318,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("param", nargs="?")
     target.add_argument("--irrational", metavar="SPEC",
                         help="quad:(a,b,c,d) or cf:[0;a1,a2,...]")
-    p.add_argument("--qmax", type=int, default=100)
+    p.add_argument("--qmax", type=int, default=None,
+                   help="largest denominator of the --irrational chain "
+                   "(default 100)")
 
     command(sub, "lines", cmd_lines, "param", help="capacity and mass tables")
 
@@ -349,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(modes, "fiber", cmd_pet_fiber, "param", svg=True,
                 help="fiber-grid reconstruction")
     p.add_argument("--t", default="P+1", help="fiber T value: P+1, P-1 or n/d, "
-                   "with omega*T an odd integer in [-2*omega, 2*omega)")
+                   "with omega*T an odd integer in [-2*omega, 2*omega); "
+                   "write a negative T as --t=-9/7")
     p = command(modes, "limit", cmd_pet_limit,
                 help="translated-window stabilization")
     p.add_argument("--irrational", metavar="SPEC", required=True,
@@ -377,7 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "chain" and args.param and args.qmax is not None:
+        ap.error("chain: --qmax applies to --irrational only")
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -7,8 +7,7 @@ Fractions for rational parameters, quadratic field elements otherwise.
 
 For rational parameters the region labels of the (out-of-scope) exact
 partition are recovered from the plaid tiles themselves; orbits follow the
-directed connectors while the translation dynamics is verified step by step
-against the classifying map.
+directed connectors of the scalar oracle.
 """
 
 from __future__ import annotations
@@ -114,54 +113,29 @@ def _center_scaled(om: int, p: int, a: int, b: int):
                           u1 + 2 * p * (2 * b + 1))
 
 
-def _moves_scaled(om: int, p: int) -> dict:
-    """om times each translation of `follow`, by direction."""
-    e = 4 * p
-    return {"S": (-2 * om, 0, -e), "N": (2 * om, 0, e), "E": (e, e, e),
-            "W": (-e, -e, -e), "empty": (0, 0, 0)}
-
-
-def _follow_scaled(om: int, p: int, move: tuple, state: tuple):
-    """`follow` on the scaled state, given the scaled translation ``move``."""
-    return _reduce_scaled(om, p, state[0] + move[0], state[1] + move[1],
-                          state[2] + move[2])
-
-
 def orbit(r: EvenRational, c0: tuple[int, int],
           max_steps: int | None = None) -> OrbitResult:
-    """Follow the directed connectors from the square c0, verifying the
-    translation dynamics against the classifying map at every step.
+    """Follow the directed connectors from the square c0.
 
     The connectors come from ``scalar_oracle(r)``, built once per orbit, so
-    orbits stay an independent check of the dense tiles.  Only the rational,
+    orbits stay independent of the dense tiles.  Only the rational,
     zero-offset case has decidable region labels (the plaid tiles
-    themselves), and it is the only one followed here.  Every classifying
-    coordinate of a square center has denominator omega, so the state is
-    held as the integers omega * (T, U1, U2).
+    themselves), and it is the only one followed here.  The classifying map
+    conjugates each unit step to `follow` of its direction on every point,
+    whatever the tiles, so the walk holds no classifying state.
     """
-    om, p = r.omega, r.p
-    moves = _moves_scaled(om, p)
     bits_at = scalar_oracle(r)
-    a0, b0 = c0
-    bits = bits_at(a0, b0)
-    state = _center_scaled(om, p, a0, b0)
+    bits = bits_at(*c0)
     if bits == 0:
         # empty tile: the identity map fixes the point
-        if _follow_scaled(om, p, moves["empty"], state) != state:
-            raise AssertionError(f"the empty tile at {c0} moves its point")
         return OrbitResult(c0, [], True, 0)
     if max_steps is None:
-        max_steps = 4 * om ** 2
+        max_steps = 4 * r.omega ** 2
     steps = []
     connectors = walk(bits_at, c0, bits & -bits)
-    for _, (edge, (a, b)) in zip(range(max_steps), connectors):
-        direction = EDGE_NAMES[edge]
-        state = _follow_scaled(om, p, moves[direction], state)
-        if state != _center_scaled(om, p, a, b):
-            raise AssertionError(
-                f"translation dynamics and classifying map disagree at ({a},{b})")
-        steps.append({"dir": direction, "square": (a, b)})
-        if (a, b) == (a0, b0):
+    for _, (edge, square) in zip(range(max_steps), connectors):
+        steps.append({"dir": EDGE_NAMES[edge], "square": square})
+        if square == c0:
             return OrbitResult(c0, steps, True, len(steps))
     return OrbitResult(c0, steps, False, None, truncated=True,
                        reason="max_steps reached")
@@ -248,21 +222,16 @@ def reconstruct_fiber_grid(r: EvenRational, t_value) -> FiberGridReport:
                          f"omega*T must be an odd integer in [{-2 * om}, {2 * om})")
     bits_at = scalar_oracle(r)
     points: dict[tuple, str] = {}
-    # the centers of rows 0..omega-1, held as omega * (T, U1, U2) as in
-    # `orbit`; their reduced image repeats with period omega^2 along a row,
-    # so one period of columns reads each of them.  Rows repeat only with
-    # period 2*omega, and rows omega..2*omega-1 are not read.
+    # the centers of rows 0..omega-1, held as the integers omega * (T, U1,
+    # U2); their reduced image has the period lattice omega^2 Z x 2 omega Z
+    # and no smaller one, so each centre read is a distinct point.  Rows
+    # omega..2*omega-1 are not read.
     for a in range(om * om):
         for b in range(om):
             T, U1, U2 = _center_scaled(om, p, a, b)
-            if T != t_scaled:
-                continue
-            label = TILE_NAMES[bits_at(a, b)] or "empty"
-            key = (Fraction(U1, om), Fraction(U2, om))
-            if key in points and points[key] != label:
-                raise AssertionError(
-                    f"fiber point {key} received labels {points[key]} and {label}")
-            points[key] = label
+            if T == t_scaled:
+                points[Fraction(U1, om), Fraction(U2, om)] = (
+                    TILE_NAMES[bits_at(a, b)] or "empty")
     u1s = sorted({u for u, _ in points})
     u2s = sorted({v for _, v in points})
     forced1 = _forced_cuts(u1s, points, 0)

@@ -123,7 +123,8 @@ def test_criterion_08_copy_theorem():
 
 
 def test_criterion_09_pet_consistency():
-    """Orbits reproduce traced loops (omega <= 40); conjugacies on 10^4 points."""
+    """Dense and scalar first-block tiles agree (omega <= 40); conjugacies on
+    10^4 points."""
     bad = sweep(check_pet, 40)
     rng = random.Random(20260810)
     shifts = {"S": (0, -1), "N": (0, 1), "E": (1, 0), "W": (-1, 0)}

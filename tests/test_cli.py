@@ -1,15 +1,19 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plaid
 from plaid import alignment, checks, cli, copying
 from plaid.cli import main
 from plaid.grid import cap_scaled, is_light_value, mass_scaled
 from plaid.numtheory import EvenRational, kappa
-from plaid.tiling import _edge_counts, _scalar_edges
+from plaid.tiling import N, S, _edge_counts, _scalar_edges
 
 
 def run(argv):
@@ -94,6 +98,7 @@ def test_pet_svg_only_for_fiber(argv, tmp_path, monkeypatch, capsys):
     pytest.param(["verify", "copy", "7/18", "--depth", "2"], id="verify-copy-depth"),
     pytest.param(["chain", "12/29", "--irrational", GOLDEN_SPEC],
                  id="chain-param-and-irrational"),
+    pytest.param(["chain", "12/29", "--qmax", "50"], id="chain-param-and-qmax"),
     pytest.param(["pet"], id="pet-without-mode"),
     pytest.param(["verify"], id="verify-without-mode"),
 ])
@@ -166,6 +171,60 @@ def test_check_copy_failure_detail(monkeypatch, pq, detail):
     assert checks.check_copy(r) == (False, detail)
     assert checks.check_copy(EvenRational(1, 2)) == (
         True, "skipped (p=1 descends by the unit rule)")
+
+
+@pytest.mark.parametrize("side,square,bits,detail", [
+    ("dense", (0, 5), 0,
+     "square (0,5) is empty in the dense tiling and NS in the scalar oracle"),
+    ("dense", (16, 3), N | S,
+     "square (16,3) is NS in the dense tiling and empty in the scalar oracle"),
+    ("scalar", (16, 3), N | S,
+     "square (16,3) is empty in the dense tiling and NS in the scalar oracle"),
+])
+def test_check_pet_failure_detail(monkeypatch, side, square, bits, detail):
+    # one square of 5/12 (omega 17) changed on one side: (0, 5) is a
+    # connector, (16, 3) an empty square of the last column
+    r = EvenRational(5, 12)
+    assert checks.check_pet(r) == (True, "")
+    if side == "dense":
+        first_block = checks.first_block_tiling
+
+        def one_changed_tile(s):
+            tiling = first_block(s)
+            tiling.tiles[square] = bits
+            return tiling
+        monkeypatch.setattr(checks, "first_block_tiling", one_changed_tile)
+    else:
+        oracle = checks.scalar_oracle
+
+        def one_changed_square(s):
+            bits_at = oracle(s)
+            return lambda a, b: bits if (a, b) == square else bits_at(a, b)
+        monkeypatch.setattr(checks, "scalar_oracle", one_changed_square)
+    assert checks.check_pet(r) == (False, detail)
+
+
+def test_check_pet_failure_detail_survives_python_O():
+    # the dense-tile case at (16, 3) again, with assert statements stripped
+    code = (
+        "from plaid import checks\n"
+        "from plaid.numtheory import EvenRational\n"
+        "from plaid.tiling import N, S\n"
+        "first_block = checks.first_block_tiling\n"
+        "def one_changed_tile(s):\n"
+        "    tiling = first_block(s)\n"
+        "    tiling.tiles[16, 3] = N | S\n"
+        "    return tiling\n"
+        "checks.first_block_tiling = one_changed_tile\n"
+        "print(checks.check_pet(EvenRational(5, 12)))\n")
+    src = str(Path(plaid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("(False, 'square (16,3) is NS in the dense tiling "
+                           "and empty in the scalar oracle')\n")
 
 
 def test_verify_copy_core_pass(tmp_path, capsys):
@@ -343,6 +402,13 @@ def test_align_cli(tmp_path):
     assert data["tiles_equal"] and data["matching"]
     assert run(["align", "3/8", "7/18", "--json", str(out)]) == 0
     assert run(["align", "2/5", "7/18"]) == 2  # wrong predecessor
+
+
+def test_pet_fiber_negative_t(tmp_path):
+    # argparse reads "-9/7" after a space as an option; "=" keeps it a value
+    out = tmp_path / "fiber.json"
+    assert run(["pet", "fiber", "2/5", "--t=-9/7", "--json", str(out)]) == 0
+    assert load_stripped(out)["t"] == "-9/7"
 
 
 def test_pet_cli(tmp_path):
