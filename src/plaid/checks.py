@@ -113,8 +113,6 @@ def check_copytheorem(r: EvenRational) -> tuple[bool, str]:
     chain = predecessor_chain(r)
     terms = chain.approximating_terms()
     for r0, r1 in zip(terms, terms[1:]):
-        if r0.is_zero:
-            continue
         rep = copying.verify_copy_theorem(r0, r1)
         if not rep.ok:
             return False, f"pair {r0}->{r1}"

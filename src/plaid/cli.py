@@ -215,7 +215,7 @@ def cmd_verify_tree(args) -> int:
     payload = {"what": args.what, "param": str(r), "depth": real.depth,
                "terms": [str(t) for t in real.terms],
                "translations": real.translations, "branches": real.branches,
-               "etas": real.etas, "vertices": len(real.boxes), "ok": True}
+               "etas": real.etas, "vertices": real.vertices, "ok": True}
     return report(args, payload, [])
 
 

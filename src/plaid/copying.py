@@ -1,4 +1,4 @@
-"""Boxes, the box lemma, the three copy lemmas, and marked-box trees.
+"""Boxes, the box lemma, the three copy lemmas, and tree realizations.
 
 The box R of a parameter spans the full height of the first block and is cut
 off by whichever vertical line of capacity at most 4 is closest to the
@@ -58,12 +58,11 @@ def sigma_core(r_hat: EvenRational, r: EvenRational) -> RectanglePair:
     if core_predecessor(r) != r_hat:
         raise ValueError(f"{r_hat} is not the core predecessor of {r}")
     xi = (r.omega - r_hat.omega) // 2
-    pair = RectanglePair(box_r(r_hat), xi)
-    # the translation carries the low-mass anchor points onto each other
-    if (tune(r_hat).tau + xi != tune(r).tau
-            or (r_hat.omega - tune(r_hat).tau) + xi != r.omega - tune(r).tau):
+    # the translation carries the low-mass anchor points onto each other; the
+    # top anchors follow, as omega_hat - tau_hat + xi = omega - (tau_hat + xi)
+    if tune(r_hat).tau + xi != tune(r).tau:
         raise AssertionError(f"the shift by {xi} misplaces the anchors of {r_hat}")
-    return pair
+    return RectanglePair(box_r(r_hat), xi)
 
 
 def comparison_pair(r_small: EvenRational, r: EvenRational) -> RectanglePair:
@@ -219,15 +218,12 @@ class CopyReport:
     translation: int | None
     branch: str | None  # 'BH' (bottom line maps) or 'TH' (top line maps)
     below_midline: bool
-    contained: bool
-    line_clause: bool
     linematch: bool
     ambiguous: bool = False
 
     @property
     def ok(self) -> bool:
-        return (self.translation is not None and self.below_midline
-                and self.contained and self.line_clause and self.linematch)
+        return self.translation is not None and self.below_midline and self.linematch
 
 
 def translation_candidates(r0: EvenRational, r1: EvenRational) -> dict[str, int]:
@@ -252,7 +248,8 @@ def verify_copy_theorem(r0: EvenRational, r1: EvenRational,
 
     Containment is vertex-set containment of traced square centers restricted
     to the small parameter's box.  The branch (which capacity-2 line maps to
-    the bottom one) is observed, never predicted.
+    the bottom one) is observed, never predicted; each candidate translation
+    carries its capacity-2 line onto the bottom one of r1 by definition.
     """
     chain = connecting_chain(r0, r1)
     if gamma0 is None:
@@ -269,72 +266,63 @@ def verify_copy_theorem(r0: EvenRational, r1: EvenRational,
             continue
         if all((a, b + t) in centers1 for a, b in arc0):
             hits[branch] = t
-    rep = CopyReport((str(r0), str(r1)), None, None, False, False, False, False)
+    rep = CopyReport((str(r0), str(r1)), None, None, False, False)
     if not hits:
         return rep
-    branch = "BH" if "BH" in hits else "TH"
-    t = hits[branch]
-    rep.translation, rep.branch = t, branch
+    # BH comes first among the candidates, so it is the pick when both work
+    rep.branch, rep.translation = next(iter(hits.items()))
     rep.ambiguous = len(hits) == 2
-    rep.contained = True
-    rep.below_midline = 2 * (t + r0.omega) <= r1.omega
-    bh1 = capacity_two_lines(r1)[0]
-    src = capacity_two_lines(r0)[0 if branch == "BH" else 1]
-    rep.line_clause = src + t == bh1
-    rep.linematch = _linematch_assertions(chain)
+    rep.below_midline = 2 * (rep.translation + r0.omega) <= r1.omega
+    rep.linematch = not _linematch_failure(chain)
     return rep
 
 
-def _linematch_assertions(chain: list[EvenRational]) -> bool:
-    """Inductive box/line containments along the connecting descent chain.
+def _linematch_failure(chain: list[EvenRational]) -> str:
+    """The first inductive box/line containment the descent chain breaks.
 
     Chains between consecutive approximating terms start with a strong or
     core step; the tail consists of even-predecessor links, weak throughout
     for strong routes and weak after at most one strong link for core
-    routes.  Checked: the links really are even steps of those kinds, the
-    bottom capacity-2 lines chain up to the final one, box widths never
-    decrease, and the image of the first box stays in the lower half of
-    every later block.  Chains of other shapes (possible for ad-hoc pairs)
-    are not constrained.
+    routes.  Checked: the links are of those kinds, the bottom capacity-2
+    lines chain up to the final one, box widths never decrease, and the
+    image of the first box stays in the lower half of every later block.
+    A link of kind weak or strong descends by the even predecessor, so the
+    tail links are even steps.  Returns "" when every containment holds;
+    chains of other shapes (possible for ad-hoc pairs) are not constrained.
     """
     if len(chain) < 2:
-        return True
+        return ""
     kinds = [pair_kind(s) for s in chain[1:]]
     if kinds[0] not in ("strong", "core"):
-        return True  # not a canonical approximating-pair chain
-    ok = True
-    for a, b in zip(chain[1:], chain[2:]):
-        if even_predecessor(b) != a:
-            ok = False  # tail links must be even-predecessor steps
+        return ""  # not a canonical approximating-pair chain
     widths = [box_r(s).x1 for s in chain[1:]]
     if any(w0 > w1 for w0, w1 in zip(widths, widths[1:])):
-        ok = False
+        return "box widths decrease"
     bh = [capacity_two_lines(s)[0] for s in chain]
     th = [capacity_two_lines(s)[1] for s in chain]
     if kinds[0] == "strong":
         if any(k != "weak" for k in kinds[1:]):
-            ok = False
+            return "strong route: a tail link is not weak"
         if th[0] != bh[1]:
-            ok = False
+            return "strong route: the top line misses the bottom line"
         if any(b != bh[1] for b in bh[2:]):
-            ok = False  # weak links keep the bottom capacity-2 line
+            return "strong route: a weak link moves the bottom line"
         if any(2 * chain[0].omega > s.omega for s in chain[1:]):
-            ok = False  # lower-half containment
-    else:  # core route
-        if any(k != "weak" for k in kinds[2:]) or (
-                len(kinds) > 1 and kinds[1] not in ("strong", "weak")):
-            ok = False
-        xi = (chain[1].omega - chain[0].omega) // 2
-        if tune(chain[0]).tau + xi != tune(chain[1]).tau:
-            ok = False  # the shift must align the capacity-2 anchor lines
-        if len(chain) > 2:
-            joint = th[1] if kinds[1] == "strong" else bh[1]
-            if joint != bh[2] or any(b != bh[2] for b in bh[3:]):
-                ok = False
-        top = xi + chain[0].omega
-        if any(2 * top > s.omega for s in chain[2:]):
-            ok = False  # lower-half containment from the second block on
-    return ok
+            return "strong route: the first box leaves the lower half"
+        return ""
+    if any(k != "weak" for k in kinds[2:]) or (
+            len(kinds) > 1 and kinds[1] not in ("strong", "weak")):
+        return "core route: a tail link is of the wrong kind"
+    xi = (chain[1].omega - chain[0].omega) // 2
+    if tune(chain[0]).tau + xi != tune(chain[1]).tau:
+        return "core route: the shift misses the anchor lines"
+    if len(chain) > 2:
+        joint = th[1] if kinds[1] == "strong" else bh[1]
+        if joint != bh[2] or any(b != bh[2] for b in bh[3:]):
+            return "core route: a link moves the bottom line"
+    if any(2 * (xi + chain[0].omega) > s.omega for s in chain[2:]):
+        return "core route: the shifted box leaves the lower half"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -367,32 +355,30 @@ def observed_branch(r0: EvenRational, r1: EvenRational) -> tuple[str, int]:
             hits[branch] = t
     if not hits:
         raise AssertionError(f"no translation copies the first column of {r0} into {r1}")
-    if len(hits) == 2:
-        return "BH", hits["BH"]  # canonical pick when both lines work
-    return next(iter(hits.items()))
+    return next(iter(hits.items()))  # BH, the first candidate, when both work
 
 
 # ---------------------------------------------------------------------------
-# Marked boxes and tree realizations
+# Tree realizations
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MarkedBox:
-    rect: tuple[int, int, int, int]  # x0, x1, y0, y1
-    term: EvenRational
-    anchor_low: tuple[Fraction, int]  # (1/2, y) points distinguished on the curve
-    anchor_high: tuple[Fraction, int]
-    curve: frozenset | None = None  # translated square centers, when traced
-
 
 @dataclass
 class TreeRealization:
+    """The binary tree of a chain's boxes, realized by nested translates.
+
+    The box of term k+1 holds two copies of the box of term k, at heights
+    t_k and t_k + d_k above its own base.  Every box of one level holds its
+    children at these same offsets, so the tree is checked once per level.
+    """
     terms: list[EvenRational]
     depth: int
-    boxes: dict[tuple[int, ...], MarkedBox]  # vertex address: () is the root
     translations: list[int]  # d_k between sibling subtrees, one per level
     branches: list[str]
     etas: list[int]
+
+    @property
+    def vertices(self) -> int:
+        return 2 ** self.depth - 1
 
 
 def eta(r: EvenRational) -> int:
@@ -420,83 +406,39 @@ def chain_translations(terms: list[EvenRational]) -> list[tuple[str, int, int]]:
 
 
 def realize_tree(terms: list[EvenRational], depth: int) -> TreeRealization:
-    """Nest translated marked boxes realizing the binary tree of the chain.
+    """Nest translated boxes realizing the binary tree of the chain.
 
-    ``terms`` are consecutive approximating terms (smallest first).  The
-    realization is normalized: the root's bottom capacity-2 anchor is at
-    height 0 and all sibling translations move upward.  Curves are traced and
-    checked for genuine containment when the largest omega is at most 200.
+    ``terms`` are consecutive approximating terms (smallest first).  Per
+    level: the child box is narrower than its parent by at least one, both
+    copies start at or above the parent's base, and the siblings are
+    disjoint.  The upper copy ends at omega_(k+1) - t_k because
+    d_k = omega_(k+1) - omega_k - 2 t_k, so it stays inside the parent and
+    the heights have slack 2 t_k + d_k > 0.  When the largest omega is at
+    most 200 the curves are traced: each child's arc lies in its parent's
+    at both offsets, and the first term's arc crosses (1/2, tau_0).
     """
     if depth < 1 or len(terms) < depth:
         raise ValueError(f"need at least depth={depth} chain terms, have {len(terms)}")
     terms = list(terms[:depth])
-    with_curves = terms[-1].omega <= 200
-    etas = [eta(s) for s in terms]
     steps = chain_translations(terms)
-    branches = [branch for branch, _, _ in steps]
-    shifts = [t for _, t, _ in steps]
-    ds = [d for _, _, d in steps]
-    curves = {}
-    if with_curves:
-        for s in terms:
-            gamma = big_polygon(s)
-            w = box_r(s).x1
-            curves[s] = frozenset((a, b) for a, b in gamma.squares if a < w)
-    boxes: dict[tuple[int, ...], MarkedBox] = {}
-    half = Fraction(1, 2)
-
-    def place(level: int, address: tuple[int, ...], y0: int):
-        s = terms[level]
-        t = tune(s).tau
-        rect = (0, box_r(s).x1, y0, y0 + s.omega)
-        curve = None
-        if with_curves:
-            curve = frozenset((a, b + y0) for a, b in curves[s])
-        boxes[address] = MarkedBox(rect, s, (half, y0 + t),
-                                   (half, y0 + s.omega - t), curve)
-        if level == 0:
-            return
-        shift = shifts[level - 1]
-        place(level - 1, address + (0,), y0 + shift)
-        place(level - 1, address + (1,), y0 + shift + ds[level - 1])
-
-    # normalized: the bottom-path leaf sits sum(shifts) above the root, so
-    # this root height puts the leaf's low anchor at height zero
-    place(depth - 1, (), -(sum(shifts) + tune(terms[0]).tau))
-    real = TreeRealization(terms, depth, boxes, ds, branches, etas)
-    _check_realization(real)
-    return real
-
-
-def _check_realization(real: TreeRealization):
-    root_level = real.depth - 1
-    for addr, box in real.boxes.items():
-        level = root_level - len(addr)
-        if level == 0:
-            continue
-        x0, x1, y0, y1 = box.rect
-        for child_bit in (0, 1):
-            child = real.boxes[addr + (child_bit,)]
-            cx0, cx1, cy0, cy1 = child.rect
-            if not (x0 <= cx0 and cx1 <= x1 and y0 <= cy0 and cy1 <= y1):
-                raise AssertionError(f"child box at {addr + (child_bit,)} escapes its parent")
-            if cx1 - cx0 > x1 - x0 - 1 or cy1 - cy0 > y1 - y0 - 1:
-                raise AssertionError(f"child box at {addr + (child_bit,)} lacks unit slack")
-            if box.curve is not None and not child.curve <= box.curve:
-                raise AssertionError(f"curve containment fails at {addr + (child_bit,)}")
-        low, high = real.boxes[addr + (0,)], real.boxes[addr + (1,)]
-        if not low.rect[3] < high.rect[2]:
-            raise AssertionError(f"sibling boxes under {addr} are not disjoint")
-    # bottom-path curves all pass through (1/2, 0): the leaf anchors there,
-    # crossing the edge between the squares (0, -1) and (0, 0), and curve
-    # nesting carries the point up the path
-    leaf = real.boxes[(0,) * (real.depth - 1)]
-    if leaf.anchor_low[1] != 0:
-        raise AssertionError("bottom-path leaf lost the height-0 anchor")
-    if leaf.curve is not None and not {(0, -1), (0, 0)} <= leaf.curve:
-        raise AssertionError("leaf curve misses its height-0 anchor crossing")
-    for addr in real.boxes:
-        if all(bit == 0 for bit in addr):
-            box = real.boxes[addr]
-            if not box.rect[2] <= 0 <= box.rect[3]:
-                raise AssertionError("bottom-path box does not straddle height 0")
+    arcs = None
+    if terms[-1].omega <= 200:
+        arcs = [frozenset((a, b) for a, b in big_polygon(s).squares
+                          if a < box_r(s).x1) for s in terms]
+    for k, (_, t, d) in enumerate(steps):
+        small, big = terms[k], terms[k + 1]
+        if box_r(small).x1 >= box_r(big).x1:
+            raise AssertionError(f"the box of {small} lacks unit slack in {big}")
+        if t < 0:
+            raise AssertionError(f"the copies of {small} start below the box of {big}")
+        if d <= small.omega:
+            raise AssertionError(f"the sibling copies of {small} in {big} overlap")
+        if arcs is not None and not all((a, b + y) in arcs[k + 1]
+                                        for y in (t, t + d) for a, b in arcs[k]):
+            raise AssertionError(f"the arc of {small} leaves the arc of {big}")
+    tau = tune(terms[0]).tau
+    if arcs is not None and not {(0, tau - 1), (0, tau)} <= arcs[0]:
+        raise AssertionError(f"the arc of {terms[0]} misses (1/2, {tau})")
+    return TreeRealization(terms, depth, [d for _, _, d in steps],
+                           [branch for branch, _, _ in steps],
+                           [eta(s) for s in terms])

@@ -218,7 +218,7 @@ def floor_exact(x) -> int:
 
 def mod_interval(x, period, lo):
     """Reduce x into [lo, lo + period) by subtracting multiples of period."""
-    k = floor_exact((x - lo) / period if isinstance(x, QuadRat) else Fraction(x - lo, period))
+    k = floor_exact((x - lo) / Fraction(period))
     return x - k * period
 
 

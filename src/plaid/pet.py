@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .copying import chain_translations
-from .exactnum import QuadRat, QuadraticTarget, floor_exact, mod_interval
+from .exactnum import QuadraticTarget, floor_exact, mod_interval
 from .numtheory import EvenRational, approximating_sequence, tune
 from .tiling import EDGE_NAMES, TILE_NAMES, build_tiling, scalar_oracle, walk
 
@@ -37,10 +37,7 @@ class PetPoint:
 
 def reduce_point(P, T, U1, U2) -> PetPoint:
     """Reduce into the fundamental domain [-2,2) x [-1,1)^2."""
-    if isinstance(T, QuadRat):
-        k = ((T + 2) / 4).__floor__()
-    else:
-        k = floor_exact(Fraction(T + 2, 4))
+    k = floor_exact((T + 2) / Fraction(4))
     T = T - 4 * k
     U1 = U1 - 2 * P * k
     U2 = U2 - 2 * P * k

@@ -173,6 +173,22 @@ def test_check_copy_failure_detail(monkeypatch, pq, detail):
         True, "skipped (p=1 descends by the unit rule)")
 
 
+def test_check_copytheorem_failure_detail(monkeypatch):
+    # 12/29 descends through the approximating terms 1/2, 2/5, 5/12; without
+    # its column 0 the arc of 5/12 holds no copy of the arc of 2/5
+    r = EvenRational(12, 29)
+    assert checks.check_copytheorem(r) == (True, "")
+    polygon = copying.big_polygon
+
+    def column_0_lost(s):
+        gamma = polygon(s)
+        if s == EvenRational(5, 12):
+            gamma = type(gamma)(s, [sq for sq in gamma.squares if sq[0] != 0])
+        return gamma
+    monkeypatch.setattr(copying, "big_polygon", column_0_lost)
+    assert checks.check_copytheorem(r) == (False, "pair 2/5->5/12")
+
+
 @pytest.mark.parametrize("side,square,bits,detail", [
     ("dense", (0, 5), 0,
      "square (0,5) is empty in the dense tiling and NS in the scalar oracle"),

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -149,10 +150,10 @@ def test_copy_theorem_core_route():
     rep = verify_copy_theorem(ER(2, 3), ER(9, 16))
     assert rep.ok
     assert rep.translation == 3 and rep.branch == "TH"
-    # ad-hoc chain-related pair (2/5, 7/18): containment holds, but the
+    # ad-hoc chain-related pair (2/5, 7/18): the bottom line maps, but the
     # midline clause fails for the centered core shift
     rep = verify_copy_theorem(ER(2, 5), ER(7, 18))
-    assert rep.contained and rep.line_clause
+    assert (rep.translation, rep.branch) == (7, "BH") and not rep.below_midline
     rep2 = verify_copy_theorem(ER(1, 2), ER(3, 8))
     assert rep2.ok
 
@@ -167,8 +168,6 @@ def test_observed_branch_matches_full_verification():
         ch = predecessor_chain(r)
         terms = ch.approximating_terms()
         for a, b in zip(terms, terms[1:]):
-            if a.is_zero:
-                continue
             branch, t = observed_branch(a, b)
             rep = verify_copy_theorem(a, b)
             assert rep.ok
@@ -179,11 +178,11 @@ def test_observed_branch_matches_full_verification():
 def test_realize_tree_chain_12_29():
     terms = predecessor_chain(ER(12, 29)).approximating_terms()
     real = realize_tree(terms, 3)
-    assert len(real.boxes) == 7
+    assert real.vertices == 7
     assert real.etas == [1, 3, 7]
     assert real.translations == [4, 10]  # eta sums: TH branches
     real4 = realize_tree(terms, 4)
-    assert len(real4.boxes) == 15
+    assert real4.vertices == 15
     assert real4.translations == [4, 10, 24]
     assert [eta(t) for t in terms] == [1, 3, 7, 17]
 
@@ -191,9 +190,65 @@ def test_realize_tree_chain_12_29():
 def test_realize_tree_depth_one_and_errors():
     terms = predecessor_chain(ER(12, 29)).approximating_terms()
     real = realize_tree(terms, 1)
-    assert len(real.boxes) == 1 and real.translations == []
+    assert real.vertices == 1 and real.translations == []
     with pytest.raises(ValueError):
         realize_tree(terms[:2], 3)
+
+
+def _candidate(branch):
+    """An ``observed_branch`` that always reports the given candidate."""
+    return lambda r0, r1: (branch, translation_candidates(r0, r1)[branch])
+
+
+def _polygon_without(term, lost):
+    """A ``big_polygon`` whose polygon of ``term`` loses the squares ``lost``
+    picks out."""
+    def polygon(s):
+        squares = big_polygon(s).squares
+        return SimpleNamespace(squares=[sq for sq in squares
+                                        if s != term or not lost(sq)])
+    return polygon
+
+
+@pytest.mark.parametrize("terms,name,fake,message", [
+    # every box two wide: the child is as wide as its parent
+    (("1/2", "2/5", "5/12"), "box_r", lambda s: Rect(0, 2, 0, s.omega),
+     "lacks unit slack"),
+    # the TH candidate of (1/4, 2/5) is -1, with a valid length d = 4
+    (("1/4", "2/5"), "observed_branch", _candidate("TH"), "start below"),
+    # BH from 1/2 into 2/5 gives t = 1, d = 2 < omega = 3
+    (("1/2", "2/5", "5/12"), "observed_branch", _candidate("BH"), "overlap"),
+    (("1/2", "2/5", "5/12"), "big_polygon",
+     _polygon_without(ER(5, 12), lambda sq: sq[0] == 0), "leaves the arc"),
+    # (0, 1) is one of the two squares on either side of (1/2, tau_0 = 1)
+    (("1/2", "2/5", "5/12"), "big_polygon",
+     _polygon_without(ER(1, 2), lambda sq: sq == (0, 1)), "misses"),
+], ids=["width", "below", "overlap", "arc", "anchor"])
+def test_realize_tree_checks_every_level(monkeypatch, terms, name, fake,
+                                         message):
+    terms = [EvenRational.parse(t) for t in terms]
+    monkeypatch.setattr(copying, name, fake)
+    with pytest.raises(AssertionError, match=message):
+        realize_tree(terms, len(terms))
+
+
+@pytest.mark.parametrize("chain,failure", [
+    (("1/2", "2/5", "1/8"), "box widths decrease"),
+    (("1/2", "2/5", "2/9"), "strong route: a tail link is not weak"),
+    (("1/2", "2/9"), "strong route: the top line misses the bottom line"),
+    (("1/2", "2/5", "2/11"), "strong route: a weak link moves the bottom line"),
+    (("1/6", "5/8"), "strong route: the first box leaves the lower half"),
+    (("1/2", "4/7", "4/9"), "core route: a tail link is of the wrong kind"),
+    (("1/2", "4/7"), "core route: the shift misses the anchor lines"),
+    (("2/3", "4/7", "2/11"), "core route: a link moves the bottom line"),
+    (("2/5", "4/7", "2/15"), "core route: the shifted box leaves the lower half"),
+], ids=["widths", "strong-kinds", "strong-joint", "strong-bottom",
+        "strong-half", "core-kinds", "core-shift", "core-bottom", "core-half"])
+def test_linematch_names_the_broken_condition(chain, failure):
+    # crafted chains, each breaking one condition first; descent chains
+    # between approximating terms break none (criterion 8)
+    assert copying._linematch_failure(
+        [EvenRational.parse(s) for s in chain]) == failure
 
 
 def test_chain_translations_check_every_length(monkeypatch):
@@ -222,7 +277,7 @@ def test_anchor_clusters_realized_on_traced_polygons():
     checked = 0
     for r in even_rationals(60):
         terms = predecessor_chain(r).approximating_terms()
-        if len(terms) < 2 or terms[0].is_zero:
+        if len(terms) < 2:
             continue
         steps = chain_translations(terms)
         ts = [t for _, t, _ in steps]

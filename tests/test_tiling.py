@@ -15,7 +15,7 @@ from plaid.tiling import (E, N, S, W, TILE_NAMES, CoherenceError, _edge_counts,
                           _scalar_edges, big_polygon, build_tiling,
                           first_block_tiling, h_edges_count, h_edges_good,
                           scalar_oracle, tile_bits_at, trace_polygons,
-                          v_edges_good)
+                          v_edges_good, walk)
 
 
 def test_boundary_edges_never_good():
@@ -468,3 +468,10 @@ def test_connector_mismatch_names_the_global_square():
     tiling.tiles[1, 1] = 0  # square (5, 5) drops out of its closed loop
     with pytest.raises(CoherenceError, match=r"entering \(5,5\)"):
         trace_polygons(tiling)
+
+
+def test_walk_rejects_a_square_without_a_unique_exit():
+    # entered through W, the square (1, 0) offers both N and E as exits
+    bits = {(1, 0): W | N | E}
+    with pytest.raises(CoherenceError, match=r"\(1,0\) lacks a unique exit"):
+        list(walk(lambda a, b: bits.get((a, b)), (0, 0), E))
