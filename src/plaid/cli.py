@@ -221,8 +221,7 @@ def cmd_verify_tree(args) -> int:
 
 def cmd_pet_orbit(args) -> int:
     r = EvenRational.parse(args.param)
-    square = tuple(int(t) for t in args.square.split(","))
-    res = pet.orbit(r, square, max_steps=args.max_steps)
+    res = pet.orbit(r, args.square, max_steps=args.max_steps)
     payload = {"param": str(r), "start": list(res.start),
                "steps": [{"dir": s["dir"], "square": list(s["square"])}
                          for s in res.steps],
@@ -297,6 +296,19 @@ def cmd_sweep(args) -> int:
     return 0 if not res["failures"] else 1
 
 
+def positive_int(text: str) -> int:
+    """argparse type of counts and scales: an integer of at least 1."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
+def square(text: str) -> tuple[int, int]:
+    """argparse type of a square a,b: exactly two integers."""
+    a, b = map(int, text.split(","))
+    return a, b
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One parser per command and per mode, each declaring exactly the inputs
     its handler reads, so argparse rejects every other option (exit 2)."""
@@ -328,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "tile", cmd_tile, "param", svg=True,
                 help="tiling of one block")
     p.add_argument("--block", type=int, default=0)
-    p.add_argument("--scale", type=int, default=16)
+    p.add_argument("--scale", type=positive_int, default=16)
 
     command(sub, "polygon", cmd_polygon, "param",
             help="the distinguished big polygon")
@@ -347,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     modes = sub.add_parser("pet", help="classifying-space dynamics"
                            ).add_subparsers(dest="what", required=True)
     p = command(modes, "orbit", cmd_pet_orbit, "param", help="curve-following orbit")
-    p.add_argument("--square", default="0,0", help="start square a,b")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--square", type=square, default="0,0", help="start square a,b")
+    p.add_argument("--max-steps", type=positive_int, default=None)
     p = command(modes, "fiber", cmd_pet_fiber, "param", svg=True,
                 help="fiber-grid reconstruction")
     p.add_argument("--t", default="P+1", help="fiber T value: P+1, P-1 or n/d, "
@@ -366,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("copy",))
     p.add_argument("param")
     p.add_argument("param2")
-    p.add_argument("--scale", type=int, default=16)
+    p.add_argument("--scale", type=positive_int, default=16)
     p.add_argument("--svg", required=True)
     p.set_defaults(fn=cmd_render)
 

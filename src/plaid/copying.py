@@ -219,7 +219,6 @@ class CopyReport:
     branch: str | None  # 'BH' (bottom line maps) or 'TH' (top line maps)
     below_midline: bool
     linematch: bool
-    ambiguous: bool = False
 
     @property
     def ok(self) -> bool:
@@ -259,21 +258,14 @@ def verify_copy_theorem(r0: EvenRational, r1: EvenRational,
     box0 = box_r(r0)
     arc0 = [(a, b) for a, b in gamma0.squares if a < box0.x1]
     centers1 = gamma1.center_set()
-    cands = translation_candidates(r0, r1)
-    hits = {}
-    for branch, t in cands.items():
-        if t < 0:
-            continue
-        if all((a, b + t) in centers1 for a, b in arc0):
-            hits[branch] = t
     rep = CopyReport((str(r0), str(r1)), None, None, False, False)
-    if not hits:
-        return rep
     # BH comes first among the candidates, so it is the pick when both work
-    rep.branch, rep.translation = next(iter(hits.items()))
-    rep.ambiguous = len(hits) == 2
-    rep.below_midline = 2 * (rep.translation + r0.omega) <= r1.omega
-    rep.linematch = not _linematch_failure(chain)
+    for branch, t in translation_candidates(r0, r1).items():
+        if t >= 0 and all((a, b + t) in centers1 for a, b in arc0):
+            rep.branch, rep.translation = branch, t
+            rep.below_midline = 2 * (t + r0.omega) <= r1.omega
+            rep.linematch = not _linematch_failure(chain)
+            break
     return rep
 
 
@@ -344,7 +336,7 @@ def observed_branch(r0: EvenRational, r1: EvenRational) -> tuple[str, int]:
     its OverflowError.
     """
     om0 = r0.omega
-    hits = {}
+    # BH comes first among the candidates, so it is the pick when both work
     for branch, t in translation_candidates(r0, r1).items():
         if t < 0 or t + om0 > r1.omega:
             continue
@@ -352,10 +344,8 @@ def observed_branch(r0: EvenRational, r1: EvenRational) -> tuple[str, int]:
                               build_tiling(r1, 0, 1, t + y, t + y + n).tiles)
                for y in range(0, om0, _COLUMN_ROWS)
                for n in [min(_COLUMN_ROWS, om0 - y)]):
-            hits[branch] = t
-    if not hits:
-        raise AssertionError(f"no translation copies the first column of {r0} into {r1}")
-    return next(iter(hits.items()))  # BH, the first candidate, when both work
+            return branch, t
+    raise AssertionError(f"no translation copies the first column of {r0} into {r1}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +399,15 @@ def realize_tree(terms: list[EvenRational], depth: int) -> TreeRealization:
     """Nest translated boxes realizing the binary tree of the chain.
 
     ``terms`` are consecutive approximating terms (smallest first).  Per
-    level: the child box is narrower than its parent by at least one, both
-    copies start at or above the parent's base, and the siblings are
-    disjoint.  The upper copy ends at omega_(k+1) - t_k because
-    d_k = omega_(k+1) - omega_k - 2 t_k, so it stays inside the parent and
-    the heights have slack 2 t_k + d_k > 0.  When the largest omega is at
-    most 200 the curves are traced: each child's arc lies in its parent's
-    at both offsets, and the first term's arc crosses (1/2, tau_0).
+    level: the child box is narrower than its parent by at least one, and
+    the siblings are disjoint.  ``observed_branch`` returns t_k >= 0, and
+    the upper copy ends at omega_(k+1) - t_k as d_k = omega_(k+1) - omega_k
+    - 2 t_k, so both copies lie in the parent with slack 2 t_k + d_k > 0.
+    When the largest omega is at most 200 the curves are traced: each
+    child's arc lies in its parent's at offset t_k, and the first term's arc
+    crosses (1/2, tau_0).  Offset t_k + d_k follows: ``big_polygon`` asserts
+    each curve symmetric under b -> omega - 1 - b with its own omega, and the
+    two maps carry the copy at t_k onto omega_(k+1) - omega_k - t_k = t_k + d_k.
     """
     if depth < 1 or len(terms) < depth:
         raise ValueError(f"need at least depth={depth} chain terms, have {len(terms)}")
@@ -429,12 +421,10 @@ def realize_tree(terms: list[EvenRational], depth: int) -> TreeRealization:
         small, big = terms[k], terms[k + 1]
         if box_r(small).x1 >= box_r(big).x1:
             raise AssertionError(f"the box of {small} lacks unit slack in {big}")
-        if t < 0:
-            raise AssertionError(f"the copies of {small} start below the box of {big}")
         if d <= small.omega:
             raise AssertionError(f"the sibling copies of {small} in {big} overlap")
-        if arcs is not None and not all((a, b + y) in arcs[k + 1]
-                                        for y in (t, t + d) for a, b in arcs[k]):
+        if arcs is not None and not all((a, b + t) in arcs[k + 1]
+                                        for a, b in arcs[k]):
             raise AssertionError(f"the arc of {small} leaves the arc of {big}")
     tau = tune(terms[0]).tau
     if arcs is not None and not {(0, tau - 1), (0, tau)} <= arcs[0]:

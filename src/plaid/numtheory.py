@@ -99,27 +99,27 @@ def kappa(r: EvenRational) -> CoreConstant:
 
 
 def theta(r: EvenRational) -> int:
-    """The integer with 2*p*tau = theta*omega + sign; always odd."""
+    """The integer with 2*p*tau = theta*omega + sign.
+
+    It is odd: ``tune`` gives 2*p*tau = sign mod omega, so the division is
+    exact, and theta*omega = 2*p*tau - sign is odd, as is omega."""
     t = tune(r)
-    th, rem = divmod(2 * r.p * t.tau - t.sign_choice, r.omega)
-    if rem != 0 or th % 2 != 1:
-        raise AssertionError(f"theta of {r} is not an odd integer")
-    return th
+    return (2 * r.p * t.tau - t.sign_choice) // r.omega
 
 
 def even_predecessor(r: EvenRational) -> EvenRational:
     """The unique even rational Farey-related to r with smaller omega.
 
     For p = 1 this is 0/1 (which is Farey-related to 1/q for every q).
+    With p' = p - theta and q' = q - 2*tau + theta, omega' = omega - 2*tau
+    by construction and p'q - q'p = 2*p*tau - theta*omega = sign, so the
+    two are Farey-related; ``EvenRational`` checks that p'/q' is even.
     """
     if r.is_zero:
         raise ValueError("0/1 has no even predecessor")
     th = theta(r)
     t = tune(r).tau
-    prev = EvenRational(r.p - th, r.q - (2 * t - th))
-    if prev.omega != r.omega - 2 * t or abs(prev.p * r.q - prev.q * r.p) != 1:
-        raise AssertionError(f"{prev} fails the even-predecessor identities of {r}")
-    return prev
+    return EvenRational(r.p - th, r.q - (2 * t - th))
 
 
 def core_predecessor(r: EvenRational) -> EvenRational:

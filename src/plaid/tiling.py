@@ -20,13 +20,12 @@ When L is no larger than the output, each line is copied from contiguous row
 windows instead of entry by entry.  The rows of L hold two periods, so the
 two windows of a vertical line are slices of its row, all taken through one
 strided view.  The sheared table D[t, y] = L[y, y + t] turns every
-horizontal line into a column of D, so a horizontal edge adds two rows of D,
-and so does the P/Q check at a double point.  Every line repeats with period
-omega in y, so a taller rectangle reads one period and repeats it.  Smaller
-rectangles evaluate L entry by entry.  Both paths work on whole lines,
-_BLOCK elements at a time.  The tests pit the kernel against two oracles,
-neither of which shares a formula with it: ``grid.classify_point``, and the
-scalar ``scalar_oracle(r)``.
+horizontal line into a column of D, so a horizontal edge adds two rows of D.
+Every line repeats with period omega in y, so a taller rectangle reads one
+period and repeats it.  Smaller rectangles evaluate L entry by entry.  Both
+paths work on whole lines, _BLOCK elements at a time.  The tests pit the
+kernel against two oracles, neither of which shares a formula with it:
+``grid.classify_point``, and the scalar ``scalar_oracle(r)``.
 
 ``scalar_oracle(r)`` returns ``bits_at(a, b)``, a closure over the constants
 of r that enumerates the crossings of each edge of one square and tests them
@@ -127,16 +126,18 @@ def _vertical_witnesses(r: EvenRational, x0: int, x1: int):
 
 
 def _horizontal_witnesses(r: EvenRational, x0: int, x1: int):
-    """Intercept offsets t1, t2 of the two crossings of each edge [a, a+1],
-    x0 <= a < x1, and pu, qu of the P and Q lines through each double point,
-    all mod omega.
+    """Intercept offsets t1, t2 mod omega of the two crossings of each edge
+    [a, a+1], x0 <= a < x1.
 
     Edge a holds the P crossings omega*t/(2p) in [a, a+1) and the Q crossings
     omega*t/(2q) in (a, a+1] with the lines through (0, y + t), two in all,
     so a midpoint counts twice and a corner once on each side.  Offsets are
     taken from the block of x0, so that every product stays below
-    2 * omega**2.  The P and Q lines through a double point x = omega*u/2
-    must agree."""
+    2 * omega**2.  Of the two lines through a double point x = omega*u/2 on
+    line y one is read, as they agree: with q = omega - p, the masses
+    M_P = 2p(y + pu) + omega and M_Q = 2p(y + qu) + omega = 2p(y - pu) +
+    omega mod 2*omega add up to C(y) = 4py, and M -> C - M maps the light
+    set (0 < M < C, or C < M < 0, and nothing when C = 0) onto itself."""
     om, p, q = r.omega, r.p, r.q
     k0, r0 = divmod(x0, om)
     m, rho = np.divmod(np.arange(r0, r0 + x1 - x0 + 1, dtype=np.int64), om)
@@ -144,9 +145,7 @@ def _horizontal_witnesses(r: EvenRational, x0: int, x1: int):
     tq = 2 * q * m + 2 * q * rho // om + 1 + 2 * q * k0 % om
     has_p = np.diff(tp) == 1
     tp, tq = tp[:-1] % om, tq[:-1] % om
-    u = np.arange(-(-2 * x0 // om), 2 * x1 // om + 1, dtype=np.int64) % om
-    return (np.where(has_p, tp, tq), np.where(has_p, tq, (tq + 1) % om),
-            p * u % om, q * u % om)
+    return np.where(has_p, tp, tq), np.where(has_p, tq, (tq + 1) % om)
 
 
 def _edge_counts(r: EvenRational, x0: int, x1: int, y0: int, y1: int):
@@ -160,7 +159,7 @@ def _edge_counts(r: EvenRational, x0: int, x1: int, y0: int, y1: int):
         raise OverflowError(f"omega = {om} is too large for the int64 edge kernel")
     w, h = x1 - x0, y1 - y0
     n, s1, s2 = _vertical_witnesses(r, x0, x1)
-    t1, t2, pu, qu = _horizontal_witnesses(r, x0, x1)
+    t1, t2 = _horizontal_witnesses(r, x0, x1)
     if 2 * om * om <= (w + 1) * h + w * (h + 1):  # the table is no larger than its output
         # one period of each line, copied from windows of omega entries of
         # L, whose rows hold two periods so that every window is contiguous
@@ -176,15 +175,11 @@ def _edge_counts(r: EvenRational, x0: int, x1: int, y0: int, y1: int):
         ys = (y0 + np.arange(min(h + 1, om), dtype=np.int64)) % om
         D = np.ascontiguousarray(windows[ys * (2 * om + 1)].T)
         hc = _row_sums(D, t1, t2, h + 1)
-        odd = (_row_sums(D, pu, qu, D.shape[1]) == 1).any(axis=0)
     else:
         col = (y0 % om + np.arange(h, dtype=np.int64)) % om
         v = _pair_counts(r, n, s1, s2, col, col)
         ys = np.arange(y0, y1 + 1, dtype=np.int64) % om
         hc = np.ascontiguousarray(_pair_counts(r, ys, ys, ys, t1, t2).T)
-        odd = (_pair_counts(r, ys, ys, ys, pu, qu) == 1).any(axis=1)
-    if odd.any():
-        raise CoherenceError(f"P/Q witness mismatch on line y={y0 + int(np.argmax(odd))}")
     return hc, v
 
 

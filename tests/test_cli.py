@@ -112,6 +112,30 @@ def test_unread_options_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pet", "orbit", "5/12", "--square", "1", "--json", "x.json"],
+     "invalid square value: '1'"),
+    (["pet", "orbit", "5/12", "--square", "1,2,3"], "invalid square value"),
+    (["pet", "orbit", "5/12", "--square", "0,x"], "invalid square value"),
+    (["pet", "orbit", "5/12", "--max-steps", "0"],
+     "argument --max-steps: invalid positive_int value: '0'"),
+    (["pet", "orbit", "5/12", "--max-steps", "-3"], "invalid positive_int value"),
+    (["tile", "5/12", "--scale", "-4", "--svg", "x.svg"],
+     "argument --scale: invalid positive_int value: '-4'"),
+    (["render", "copy", "5/12", "12/29", "--scale", "0", "--svg", "x.svg"],
+     "invalid positive_int value"),
+], ids=["square-one", "square-three", "square-not-int", "max-steps-0",
+        "max-steps-negative", "tile-scale", "render-scale"])
+def test_bad_option_values_are_usage_errors(argv, message, tmp_path,
+                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("t", ["P", "1/3"])
 def test_pet_fiber_t_without_centres_is_usage_error(t, tmp_path, monkeypatch,
                                                     capsys):

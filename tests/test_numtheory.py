@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plaid.checks import even_rationals
 from plaid.exactnum import QuadRat, QuadraticTarget
@@ -83,6 +85,26 @@ def test_theta_values():
     assert theta(EvenRational(12, 29)) == 7   # 288 = 7*41 + 1
     assert theta(EvenRational(5, 12)) == 3    # 50 = 3*17 - 1
     assert theta(EvenRational(7, 18)) == 5    # 126 = 5*25 + 1
+
+
+@st.composite
+def even_rational(draw, max_omega):
+    om = 2 * draw(st.integers(1, (max_omega - 1) // 2)) + 1
+    p = draw(st.integers(1, om // 2))
+    assume(gcd(p, om) == 1)
+    return EvenRational(p, om - p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=even_rational(10 ** 12))
+def test_theta_and_even_predecessor_identities(r):
+    # theta and even_predecessor state these identities without checking them
+    t = tune(r)
+    th = theta(r)
+    assert th % 2 == 1 and 2 * r.p * t.tau == th * r.omega + t.sign_choice
+    prev = even_predecessor(r)
+    assert prev.omega == r.omega - 2 * t.tau
+    assert prev.p * r.q - prev.q * r.p == t.sign_choice
 
 
 def test_approximating_sequence_minimal_qmax():

@@ -207,6 +207,36 @@ def even_rational(draw, max_omega):
 ORIGINS = st.integers(-10 ** 12, 10 ** 12) | st.integers(-2000, 2000)
 
 
+# The edge kernel reads one of the two lines through a double point
+# (omega*u/2, y): the P line through (0, y + pu) and the Q line through
+# (0, y + qu) always give the same light verdict, because their masses add
+# up to the capacity of line y mod 2*omega.
+
+def assert_double_point_lines_agree(r, y, u):
+    om = r.omega
+    C = cap_scaled(r, y)
+    m_p, m_q = mass_scaled(r, y + r.p * u), mass_scaled(r, y + r.q * u)
+    assert (m_p + m_q - C) % (2 * om) == 0, (str(r), y, u)
+    assert is_light_value(C, m_p, om) == is_light_value(C, m_q, om), (str(r), y, u)
+
+
+def test_double_point_lines_agree_on_every_small_parameter():
+    # capacities and masses repeat with period omega in y and in u
+    pairs = 0
+    for r in even_rationals(61):
+        for y in range(r.omega):
+            for u in range(r.omega):
+                assert_double_point_lines_agree(r, y, u)
+        pairs += r.omega ** 2
+    assert pairs == 768666  # 394 parameters, omega 3..61
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=even_rational(10 ** 12), y=ORIGINS, u=ORIGINS)
+def test_double_point_lines_agree_far_beyond_desk_scale(r, y, u):
+    assert_double_point_lines_agree(r, y, u)
+
+
 # The reference for scalar_oracle: the same enumeration of each edge's
 # crossings, with every capacity, mass and light test taken from plaid.grid.
 
