@@ -17,12 +17,12 @@ from math import gcd
 
 import numpy as np
 
-from . import copying
+from . import copying, tiling
 from .grid import cap_scaled
 from .numtheory import (EvenRational, kappa, main_identity, pair_kind,
                         predecessor_chain, tune, verify_omnibus)
-from .tiling import (TILE_NAMES, _edge_counts, big_polygon, build_tiling,
-                     first_block_tiling, scalar_oracle)
+from .tiling import (TILE_NAMES, CoherenceError, E, N, S, W, _edge_counts,
+                     big_polygon, build_tiling, first_block_tiling)
 
 
 def even_rationals(max_omega: int, start: int = 3, regime: str = "all"):
@@ -125,14 +125,24 @@ def check_pet(r: EvenRational) -> tuple[bool, str]:
     Orbits follow the scalar oracle's connectors, and the classifying map
     conjugates each unit step to its translation whatever the tiles are, so
     the PET dynamics of the block stand or fall with these tiles.  The
-    detail names the least square, in (a, b) order, that differs.
+    oracle's edges are read once each from ``tiling._scalar_edges(r)``: the
+    horizontal edges [a, a+1] x {y}, y in 0..omega, then the vertical edges
+    {x} x [b, b+1], x in 0..omega.  The squares are then assembled and
+    compared in (a, b) order, as ``scalar_oracle(r)`` would read them one
+    by one: the first square with neither 0 nor 2 good edges raises
+    ``CoherenceError``, and the detail names the first square that differs.
     """
     om = r.omega
     dense = first_block_tiling(r).tiles.tolist()
-    bits_at = scalar_oracle(r)
+    h_count, v_good = tiling._scalar_edges(r)
+    h = [[h_count(y, a) == 1 for a in range(om)] for y in range(om + 1)]
+    v = [[v_good(x, b) for b in range(om)] for x in range(om + 1)]
     for a in range(om):
         for b in range(om):
-            scalar = bits_at(a, b)
+            scalar = N * h[b + 1][a] | S * h[b][a] | W * v[a][b] | E * v[a + 1][b]
+            n = scalar.bit_count()
+            if n not in (0, 2):
+                raise CoherenceError(f"square ({a},{b}) of {r} has {n} good edges")
             if dense[a][b] != scalar:
                 return False, (
                     f"square ({a},{b}) is {TILE_NAMES[dense[a][b]] or 'empty'} "

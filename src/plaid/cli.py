@@ -1,9 +1,9 @@
 """Command-line front end: reports, renders, and verification sweeps.
 
 Exit codes: 0 all requested checks pass, 1 a check failed (counterexample in
-the JSON report), 2 usage error.  JSON files are written atomically and the
-output is deterministic for a fixed tool version, apart from the timestamp
-field.
+the JSON report) or standard output was closed before the report was written
+out, 2 usage error.  JSON files are written atomically and the output is
+deterministic for a fixed tool version, apart from the timestamp field.
 """
 
 from __future__ import annotations
@@ -209,8 +209,6 @@ def cmd_verify_copy(args) -> int:
 def cmd_verify_tree(args) -> int:
     r = EvenRational.parse(args.param)
     terms = predecessor_chain(r).approximating_terms()
-    if args.depth is not None and args.depth < 1:
-        raise ValueError(f"--depth must be at least 1, got {args.depth}")
     real = copying.realize_tree(terms, min(args.depth or len(terms), len(terms)))
     payload = {"what": args.what, "param": str(r), "depth": real.depth,
                "terms": [str(t) for t in real.terms],
@@ -354,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="the applicable copy lemma")
     p = command(modes, "tree", cmd_verify_tree, "param",
                 help="nested marked-box realization")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=positive_int)
 
     modes = sub.add_parser("pet", help="classifying-space dynamics"
                            ).add_subparsers(dest="what", required=True)
@@ -398,7 +396,14 @@ def main(argv=None) -> int:
     if args.command == "chain" and args.param and args.qmax is not None:
         ap.error("chain: --qmax applies to --irrational only")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (plaid ... | head): send the rest to
+        # devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -119,8 +119,12 @@ def orbit(r: EvenRational, c0: tuple[int, int],
     zero-offset case has decidable region labels (the plaid tiles
     themselves), and it is the only one followed here.  The classifying map
     conjugates each unit step to `follow` of its direction on every point,
-    whatever the tiles, so the walk holds no classifying state.
+    whatever the tiles, so the walk holds no classifying state.  At most
+    ``max_steps`` steps are taken (default 4 omega**2); a value below 1
+    raises ``ValueError``.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     bits_at = scalar_oracle(r)
     bits = bits_at(*c0)
     if bits == 0:

@@ -30,7 +30,9 @@ kernel against two oracles, neither of which shares a formula with it:
 ``scalar_oracle(r)`` returns ``bits_at(a, b)``, a closure over the constants
 of r that enumerates the crossings of each edge of one square and tests them
 for lightness inline.  The PET orbits and the fiber reconstruction build it
-once and read every square from it; ``tile_bits_at`` is one call of it.
+once and read every square from it; ``tile_bits_at`` is one call of it.  Its
+edges come from the closures ``_scalar_edges(r)``, which
+``checks.check_pet`` reads directly, once per edge of the first block.
 
 One connector walk, ``walk``, steps from square to square across good
 edges; loop tracing, the big polygon and the PET orbits all use it.

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import plaid
-from plaid import alignment, checks, cli, copying
+from plaid import alignment, checks, cli, copying, tiling
 from plaid.cli import main
 from plaid.grid import cap_scaled, is_light_value, mass_scaled
 from plaid.numtheory import EvenRational, kappa
-from plaid.tiling import N, S, _edge_counts, _scalar_edges
+from plaid.tiling import (TILE_NAMES, CoherenceError, E, N, S, _edge_counts,
+                          _scalar_edges, scalar_oracle)
 
 
 def run(argv):
@@ -46,9 +47,12 @@ def test_usage_error_exit_codes(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_tree_depth_below_one_is_usage_error(capsys):
-    assert run(["verify", "tree", "2/5", "--depth", "0"]) == 2
-    assert "--depth must be at least 1" in capsys.readouterr().err
-    assert run(["verify", "tree", "2/5", "--depth", "-1"]) == 2
+    for depth in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "tree", "2/5", "--depth", depth])
+        assert exc.value.code == 2
+        assert (f"argument --depth: invalid positive_int value: '{depth}'"
+                in capsys.readouterr().err)
     assert run(["verify", "tree", "2/5", "--depth", "1"]) == 0
 
 
@@ -213,13 +217,50 @@ def test_check_copytheorem_failure_detail(monkeypatch):
     assert checks.check_copytheorem(r) == (False, "pair 2/5->5/12")
 
 
+def pet_oracle(r):
+    """`check_pet` as it read the first block square by square through
+    ``scalar_oracle(r)``: the reference for the check that reads each edge
+    once."""
+    om = r.omega
+    dense = checks.first_block_tiling(r).tiles.tolist()
+    bits_at = scalar_oracle(r)
+    for a in range(om):
+        for b in range(om):
+            scalar = bits_at(a, b)
+            if dense[a][b] != scalar:
+                return False, (
+                    f"square ({a},{b}) is {TILE_NAMES[dense[a][b]] or 'empty'} "
+                    f"in the dense tiling and {TILE_NAMES[scalar] or 'empty'} "
+                    f"in the scalar oracle")
+    return True, ""
+
+
+def flip_scalar_edges(monkeypatch, hs=(), vs=()):
+    """Flip the goodness of the horizontal edges hs, as (y, a), and the
+    vertical edges vs, as (x, b), in ``tiling._scalar_edges``; `check_pet`
+    and ``scalar_oracle`` both read it from the module."""
+    def flipped(r):
+        h_count, v_good = _scalar_edges(r)
+        return (lambda y, a: int(h_count(y, a) != 1) if (y, a) in hs
+                else h_count(y, a),
+                lambda x, b: v_good(x, b) != ((x, b) in vs))
+    monkeypatch.setattr(tiling, "_scalar_edges", flipped)
+
+
+def outcome(check, r):
+    try:
+        return check(r)
+    except CoherenceError as exc:
+        return "CoherenceError", str(exc)
+
+
 @pytest.mark.parametrize("side,square,bits,detail", [
     ("dense", (0, 5), 0,
      "square (0,5) is empty in the dense tiling and NS in the scalar oracle"),
     ("dense", (16, 3), N | S,
      "square (16,3) is NS in the dense tiling and empty in the scalar oracle"),
-    ("scalar", (16, 3), N | S,
-     "square (16,3) is empty in the dense tiling and NS in the scalar oracle"),
+    ("scalar", (16, 3), N | E,
+     "square (16,3) is empty in the dense tiling and NE in the scalar oracle"),
 ])
 def test_check_pet_failure_detail(monkeypatch, side, square, bits, detail):
     # one square of 5/12 (omega 17) changed on one side: (0, 5) is a
@@ -230,18 +271,35 @@ def test_check_pet_failure_detail(monkeypatch, side, square, bits, detail):
         first_block = checks.first_block_tiling
 
         def one_changed_tile(s):
-            tiling = first_block(s)
-            tiling.tiles[square] = bits
-            return tiling
+            block = first_block(s)
+            block.tiles[square] = bits
+            return block
         monkeypatch.setattr(checks, "first_block_tiling", one_changed_tile)
     else:
-        oracle = checks.scalar_oracle
-
-        def one_changed_square(s):
-            bits_at = oracle(s)
-            return lambda a, b: bits if (a, b) == square else bits_at(a, b)
-        monkeypatch.setattr(checks, "scalar_oracle", one_changed_square)
+        # N and E of (16, 3): the square across N, (16, 4), comes later in
+        # (a, b) order, and the one across E lies outside the block
+        flip_scalar_edges(monkeypatch, [(4, 16)], [(17, 3)])
     assert checks.check_pet(r) == (False, detail)
+    assert pet_oracle(r) == (False, detail)
+
+
+def test_check_pet_matches_per_square_oracle_under_edge_flips(monkeypatch):
+    # every single edge of the first block of 5/12 flipped: the square
+    # before the edge in (a, b) order turns odd and raises in both
+    r = EvenRational(5, 12)
+    om = r.omega
+    assert outcome(checks.check_pet, r) == outcome(pet_oracle, r) == (True, "")
+    edges = [(i, j) for i in range(om + 1) for j in range(om)]
+    for hs, vs in [([e], []) for e in edges] + [([], [e]) for e in edges]:
+        flip_scalar_edges(monkeypatch, hs, vs)
+        got = outcome(checks.check_pet, r)
+        assert got[0] == "CoherenceError", (hs, vs)
+        assert got == outcome(pet_oracle, r), (hs, vs)
+    # N and W of the connector (0, 5) flipped: it reads SW, two good edges,
+    # and its other neighbour across N comes later in (a, b) order
+    flip_scalar_edges(monkeypatch, [(6, 0)], [(0, 5)])
+    detail = "square (0,5) is NS in the dense tiling and SW in the scalar oracle"
+    assert outcome(checks.check_pet, r) == outcome(pet_oracle, r) == (False, detail)
 
 
 def test_check_pet_failure_detail_survives_python_O():
@@ -265,6 +323,23 @@ def test_check_pet_failure_detail_survives_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("(False, 'square (16,3) is NS in the dense tiling "
                            "and empty in the scalar oracle')\n")
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # `plaid lines 500/1003 | head -2`: the report is far larger than a pipe
+    # buffer, so the reader closes the pipe while plaid is still writing
+    src = str(Path(plaid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "plaid.cli", "lines",
+                             "500/1003"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert [proc.stdout.readline() for _ in range(2)] == [
+        "{\n", '  "param": "500/1003",\n']
+    proc.stdout.close()
+    assert proc.stderr.read() == ""
+    assert proc.wait(timeout=120) == 1
+    proc.stderr.close()
 
 
 def test_verify_copy_core_pass(tmp_path, capsys):

@@ -128,7 +128,7 @@ def test_orbit_matches_fraction_orbit_on_every_square():
     for r in even_rationals(15):
         for a in range(r.omega):
             for b in range(r.omega):
-                for max_steps in (None, 0, 3):
+                for max_steps in (None, 1, 3):
                     assert (orbit(r, (a, b), max_steps)
                             == _fraction_orbit(r, (a, b), max_steps)), (r, a, b)
 
@@ -168,6 +168,15 @@ def test_orbit_max_steps_truncates():
     period = orbit(r, (0, 5)).period
     assert orbit(r, (0, 5), max_steps=period).closed
     assert orbit(r, (0, 5), max_steps=period - 1).truncated
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_orbit_max_steps_below_one_raises(max_steps):
+    with pytest.raises(ValueError, match="max_steps must be at least 1"):
+        orbit(EvenRational(5, 12), (0, 5), max_steps=max_steps)
+    # an empty square too, which takes no step at all
+    with pytest.raises(ValueError, match="max_steps must be at least 1"):
+        orbit(EvenRational(5, 12), (16, 3), max_steps=max_steps)
 
 
 def test_fiber_grid_2_5():
