@@ -11,7 +11,6 @@ on.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
@@ -182,14 +181,11 @@ def _run_checks_one(args):
 
 
 def run_sweep(params, checks, workers=None) -> dict:
-    """Run the named checks on every parameter, in worker processes if asked.
-
-    ``workers`` defaults to the PLAID_WORKERS environment variable; rows and
-    failures come out in (omega, p) order whatever the worker count.
+    """Run the named checks on every parameter, in ``workers`` processes if
+    more than one; rows and failures come out in (omega, p) order whatever
+    the worker count.
     """
     jobs = [((r.p, r.q), checks) for r in params]
-    if workers is None:
-        workers = int(os.environ.get("PLAID_WORKERS", "0")) or None
     results = {}
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

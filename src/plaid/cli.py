@@ -369,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--irrational", metavar="SPEC", required=True,
                    help="quad:(a,b,c,d)")
     p.add_argument("--prefix", default="0")
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--window", type=positive_int, default=10)
+    p.add_argument("--depth", type=positive_int, default=None)
 
     p = sub.add_parser("render", help="SVG figures")
     p.add_argument("what", choices=("copy",))
@@ -385,8 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="coherence,box")
     p.add_argument("--filter", default="all",
                    choices=("all", "weak", "strong", "core"))
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: PLAID_WORKERS)")
+    # argparse converts a string default with the option's type, so an
+    # unusable PLAID_WORKERS is a usage error as --workers would be
+    p.add_argument("--workers", type=positive_int,
+                   default=os.environ.get("PLAID_WORKERS"),
+                   help="worker processes (default: PLAID_WORKERS, else 1)")
     return ap
 
 

@@ -58,10 +58,9 @@ def sigma_core(r_hat: EvenRational, r: EvenRational) -> RectanglePair:
     if core_predecessor(r) != r_hat:
         raise ValueError(f"{r_hat} is not the core predecessor of {r}")
     xi = (r.omega - r_hat.omega) // 2
-    # the translation carries the low-mass anchor points onto each other; the
+    # the translation carries the low-mass anchor points onto each other, as
+    # tau_hat = tau - kappa*omega' = tau - xi (see ``core_predecessor``); the
     # top anchors follow, as omega_hat - tau_hat + xi = omega - (tau_hat + xi)
-    if tune(r_hat).tau + xi != tune(r).tau:
-        raise AssertionError(f"the shift by {xi} misplaces the anchors of {r_hat}")
     return RectanglePair(box_r(r_hat), xi)
 
 
@@ -123,10 +122,7 @@ def verify_box_lemma(r: EvenRational, gamma: PlaidPolygon | None = None) -> BoxR
     """The big polygon meets the box in one arc ending on the right edge."""
     if gamma is None:
         gamma = big_polygon(r)
-    box = box_r(r)
-    w = box.x1
-    if w != box_width_by_scan(r):
-        raise AssertionError(f"box width {w} of {r} disagrees with the scan")
+    w = box_r(r).x1
     crossings = gamma.crossings_of_vertical(w)
     inside = [a < w for a, _ in gamma.squares]
     runs = sum(1 for i in range(len(inside))
@@ -403,31 +399,28 @@ def realize_tree(terms: list[EvenRational], depth: int) -> TreeRealization:
     the siblings are disjoint.  ``observed_branch`` returns t_k >= 0, and
     the upper copy ends at omega_(k+1) - t_k as d_k = omega_(k+1) - omega_k
     - 2 t_k, so both copies lie in the parent with slack 2 t_k + d_k > 0.
-    When the largest omega is at most 200 the curves are traced: each
-    child's arc lies in its parent's at offset t_k, and the first term's arc
-    crosses (1/2, tau_0).  Offset t_k + d_k follows: ``big_polygon`` asserts
-    each curve symmetric under b -> omega - 1 - b with its own omega, and the
-    two maps carry the copy at t_k onto omega_(k+1) - omega_k - t_k = t_k + d_k.
+    The curves are traced: each child's arc lies in its parent's at offset
+    t_k, and the first term's arc crosses (1/2, tau_0).  Offset t_k + d_k
+    follows: ``big_polygon`` asserts each curve symmetric under
+    b -> omega - 1 - b with its own omega, and the two maps carry the copy
+    at t_k onto omega_(k+1) - omega_k - t_k = t_k + d_k.
     """
     if depth < 1 or len(terms) < depth:
         raise ValueError(f"need at least depth={depth} chain terms, have {len(terms)}")
     terms = list(terms[:depth])
     steps = chain_translations(terms)
-    arcs = None
-    if terms[-1].omega <= 200:
-        arcs = [frozenset((a, b) for a, b in big_polygon(s).squares
-                          if a < box_r(s).x1) for s in terms]
+    arcs = [frozenset((a, b) for a, b in big_polygon(s).squares
+                      if a < box_r(s).x1) for s in terms]
     for k, (_, t, d) in enumerate(steps):
         small, big = terms[k], terms[k + 1]
         if box_r(small).x1 >= box_r(big).x1:
             raise AssertionError(f"the box of {small} lacks unit slack in {big}")
         if d <= small.omega:
             raise AssertionError(f"the sibling copies of {small} in {big} overlap")
-        if arcs is not None and not all((a, b + t) in arcs[k + 1]
-                                        for a, b in arcs[k]):
+        if not all((a, b + t) in arcs[k + 1] for a, b in arcs[k]):
             raise AssertionError(f"the arc of {small} leaves the arc of {big}")
     tau = tune(terms[0]).tau
-    if arcs is not None and not {(0, tau - 1), (0, tau)} <= arcs[0]:
+    if not {(0, tau - 1), (0, tau)} <= arcs[0]:
         raise AssertionError(f"the arc of {terms[0]} misses (1/2, {tau})")
     return TreeRealization(terms, depth, [d for _, _, d in steps],
                            [branch for branch, _, _ in steps],

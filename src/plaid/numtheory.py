@@ -125,7 +125,10 @@ def even_predecessor(r: EvenRational) -> EvenRational:
 def core_predecessor(r: EvenRational) -> EvenRational:
     """(p - 2*kappa*p', q - 2*kappa*q'); the identity when kappa = 0.
 
-    Parameters 1/2n are excluded: their descent uses the p = 1 rule.
+    Parameters 1/2n are excluded: their descent uses the p = 1 rule.  The
+    tune of the result is tau - kappa*omega', with the sign of tau
+    (omega' = omega - 2*tau), so omega_hat - 2*tau_hat = omega' and its own
+    kappa is 0: no chain takes two core steps in a row.
     """
     k = kappa(r).kappa
     if k == 0:
@@ -200,10 +203,8 @@ def predecessor_chain(r: EvenRational) -> PredecessorChain:
         if len(terms) > r.omega + 1:
             raise AssertionError("descent failed to terminate")
     terms.reverse()
-    kinds = tuple(pair_kind(t) for t in terms[1:])
-    if any(a == b == "core" for a, b in zip(kinds, kinds[1:])):
-        raise AssertionError("two consecutive core steps")
-    return PredecessorChain(tuple(terms), kinds)
+    return PredecessorChain(tuple(terms),
+                            tuple(pair_kind(t) for t in terms[1:]))
 
 
 # ---------------------------------------------------------------------------

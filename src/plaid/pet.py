@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -174,6 +173,13 @@ def _forced_cuts(coords, points, axis):
     return cuts
 
 
+def _padded(cuts, n):
+    """The forced gaps plus the lowest free ones, four gaps in all (every gap
+    when there are fewer than four)."""
+    free = [i for i in range(n) if i not in cuts]
+    return cuts | set(free[:4 - len(cuts)])
+
+
 def _consistent(points, coords1, coords2, cuts1, cuts2):
     """Do the cut choices make every resulting cell single-labeled?"""
 
@@ -200,14 +206,15 @@ def _consistent(points, coords1, coords2, cuts1, cuts2):
 
 
 def reconstruct_fiber_grid(r: EvenRational, t_value) -> FiberGridReport:
-    """Sample tile centers landing on one (U1, U2) fiber and recover the
+    """Read the tile centres landing on one (U1, U2) fiber and recover the
     4 x 4 rectangle structure of the region partition there.
 
-    The fiber is a torus, so cells are circular arcs of the finitely many
-    observed coordinates.  Adjacent coordinates with conflicting labels force
-    a wall between them; remaining walls are completed by a small search and
-    the reconstruction succeeds when some choice of 4 + 4 circular cuts makes
-    every cell single-labeled.
+    The fiber is a torus, so cells are circular arcs of its coordinates.  The
+    centres of one period, rows 0..2 omega - 1 of omega^2 columns, land on
+    every fiber as a full omega x omega grid.  Adjacent coordinate lines with
+    conflicting labels force a wall between them; the forced walls, padded
+    to four per axis with the lowest free gaps, are the cuts, and the
+    reconstruction succeeds when every resulting cell is single-labeled.
 
     Every centre has omega * T odd (omega is odd and omega * T = 2p(2a + 1) +
     omega(2b + 1)), so ``t_value`` must make omega * T an odd integer in
@@ -223,12 +230,12 @@ def reconstruct_fiber_grid(r: EvenRational, t_value) -> FiberGridReport:
                          f"omega*T must be an odd integer in [{-2 * om}, {2 * om})")
     bits_at = scalar_oracle(r)
     points: dict[tuple, str] = {}
-    # the centers of rows 0..omega-1, held as the integers omega * (T, U1,
+    # the centres of rows 0..2*omega-1, held as the integers omega * (T, U1,
     # U2); their reduced image has the period lattice omega^2 Z x 2 omega Z
-    # and no smaller one, so each centre read is a distinct point.  Rows
-    # omega..2*omega-1 are not read.
+    # and no smaller one, so each centre read is a distinct point and every
+    # point of the fiber is read
     for a in range(om * om):
-        for b in range(om):
+        for b in range(2 * om):
             T, U1, U2 = _center_scaled(om, p, a, b)
             if T == t_scaled:
                 points[Fraction(U1, om), Fraction(U2, om)] = (
@@ -241,27 +248,15 @@ def reconstruct_fiber_grid(r: EvenRational, t_value) -> FiberGridReport:
         return FiberGridReport(r, t_value, points, [], [], False, [],
                                reason=f"{len(forced1)}x{len(forced2)} walls forced")
 
-    # complete the forced cuts to at most 4 per axis; unused cut budget goes
-    # to cells the finite fiber never samples (small parameters)
-    def completions(coords, forced):
-        free = [i for i in range(len(coords)) if i not in forced]
-        for k in range(4 - len(forced), -1, -1):
-            for extra in combinations(free, k):
-                yield forced | set(extra)
-
-    best = None
-    for cuts1 in completions(u1s, forced1):
-        for cuts2 in completions(u2s, forced2):
-            res = _consistent(points, u1s, u2s, cuts1, cuts2)
-            if res is not None:
-                best = (cuts1, cuts2, res)
-                break
-        if best:
-            break
-    if best is None:
+    # on the full grid, neighbouring lines with no forced wall between them
+    # carry equal labels at every coordinate of the other axis, so once an
+    # axis has two cuts or more, each of its cells holds one label
+    res = _consistent(points, u1s, u2s, _padded(forced1, len(u1s)),
+                      _padded(forced2, len(u2s)))
+    if res is None:
         return FiberGridReport(r, t_value, points, [], [], False, [],
                                reason="no consistent 4x4 cut completion")
-    cuts1, cuts2, (g1, g2, cell_label) = best
+    g1, g2, cell_label = res
 
     def arcs(coords, idx):
         groups: dict[int, list] = {}
@@ -270,8 +265,7 @@ def reconstruct_fiber_grid(r: EvenRational, t_value) -> FiberGridReport:
         return [[min(g), max(g)] for _, g in sorted(groups.items())]
 
     n1, n2 = len(set(g1.values())), len(set(g2.values()))
-    labels = [[cell_label.get((i, j), "unknown") for i in range(n1)]
-              for j in range(n2)]
+    labels = [[cell_label[i, j] for i in range(n1)] for j in range(n2)]
     return FiberGridReport(r, t_value, points, arcs(u1s, g1), arcs(u2s, g2),
                            True, labels)
 

@@ -62,10 +62,6 @@ GOLDEN_SPEC = "quad:(-1,1,2,5)"
 @pytest.mark.parametrize("option, value, message", [
     ("--prefix", "2", "prefix digits must be 0 or 1"),
     ("--prefix", "012", "prefix digits must be 0 or 1"),
-    ("--window", "0", "window must be at least 1"),
-    ("--window", "-2", "window must be at least 1"),
-    ("--depth", "0", "depth must be at least 1"),
-    ("--depth", "-1", "depth must be at least 1"),
     # the last --irrational wins: a continued-fraction target has no exact P
     ("--irrational", "cf:[0;" + ",".join("1" * 14) + "]",
      "needs an exact quadratic target"),
@@ -76,6 +72,43 @@ def test_pet_limit_rejects_bad_inputs(option, value, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+LIMIT = ["pet", "limit", "--irrational", GOLDEN_SPEC, "--depth", "3"]
+SWEEP = ["sweep", "--max-omega", "9", "--checks", "box"]
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (LIMIT, "--window", "0"), (LIMIT, "--window", "-2"),
+    (LIMIT, "--depth", "0"), (LIMIT, "--depth", "-1"),
+    (SWEEP, "--workers", "0"), (SWEEP, "--workers", "-2"),
+    (SWEEP, "--workers", "abc"),
+], ids=["limit-window-0", "limit-window--2", "limit-depth-0",
+        "limit-depth--1", "sweep-workers-0", "sweep-workers--2",
+        "sweep-workers-abc"])
+def test_counts_below_one_are_usage_errors(argv, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert (f"argument {option}: invalid positive_int value: '{value}'"
+            in captured.err and captured.out == "")
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc", ""])
+def test_plaid_workers_follows_the_workers_rule(value, monkeypatch, capsys):
+    monkeypatch.setenv("PLAID_WORKERS", value)
+    with pytest.raises(SystemExit) as exc:
+        run(SWEEP)
+    assert exc.value.code == 2
+    assert (f"argument --workers: invalid positive_int value: '{value}'"
+            in capsys.readouterr().err)
+    # an explicit --workers wins, and the environment is not checked then
+    assert cli.build_parser().parse_args(SWEEP + ["--workers", "1"]).workers == 1
+    monkeypatch.setenv("PLAID_WORKERS", "2")
+    assert cli.build_parser().parse_args(SWEEP).workers == 2
+    monkeypatch.delenv("PLAID_WORKERS")
+    assert cli.build_parser().parse_args(SWEEP).workers is None
 
 
 @pytest.mark.parametrize("argv", [

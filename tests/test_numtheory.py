@@ -11,7 +11,8 @@ from plaid.numtheory import (ZERO, EvenRational, approximating_sequence,
                              core_predecessor, diophantine_check,
                              even_predecessor, kappa, main_identity,
                              pair_kind, predecessor, predecessor_chain,
-                             stern_brocot_path, theta, tune, verify_omnibus)
+                             Tune, stern_brocot_path, theta, tune,
+                             verify_omnibus)
 
 
 def brute_tune(r):
@@ -141,6 +142,48 @@ def test_strong_iff_omega_halves():
     for r in even_rationals(500):
         omp = even_predecessor(r).omega
         assert (2 * omp < r.omega) == (4 * tune(r).tau > r.omega)
+
+
+def _check_core_tune(r):
+    """tau_hat = tau - kappa*omega' with the same sign, for kappa >= 1, p > 1.
+
+    So sigma_core's shift xi = kappa*omega' carries tau_hat onto tau, and
+    omega_hat - 2 tau_hat = omega' > tau_hat, so a core predecessor has
+    kappa = 0 and no chain takes two core steps in a row."""
+    t, k = tune(r), kappa(r).kappa
+    omp = r.omega - 2 * t.tau
+    hat = core_predecessor(r)
+    assert tune(hat) == Tune(t.tau - k * omp, t.sign_choice), r
+    assert hat.omega - 2 * tune(hat).tau == omp and kappa(hat).kappa == 0, r
+
+
+def test_core_predecessor_tune_identity():
+    checked = 0
+    for r in even_rationals(401):
+        if r.p > 1 and kappa(r).kappa >= 1:
+            _check_core_tune(r)
+            checked += 1
+    assert checked > 4000
+
+
+@st.composite
+def core_rational(draw, max_omega):
+    """An even rational with p > 1 and kappa >= 1, drawn through its tune:
+    kappa >= 1 exactly when tau >= omega - 2 tau."""
+    om = 2 * draw(st.integers(2, (max_omega - 1) // 2)) + 1
+    tau = draw(st.integers(-(-om // 3), om // 2))
+    assume(gcd(tau, om) == 1)
+    p = pow(2 * tau, -1, om)
+    p = min(p, om - p)
+    assume(p > 1)
+    return EvenRational(p, om - p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=core_rational(10 ** 12))
+def test_core_predecessor_tune_identity_large(r):
+    assert kappa(r).kappa >= 1
+    _check_core_tune(r)
 
 
 def test_core_predecessor_examples():

@@ -197,25 +197,40 @@ def test_fiber_grid_2_5():
 
 
 def test_fiber_grid_other_parameters():
-    for pq, t_shift in (((1, 2), 1), ((3, 8), 1), ((2, 5), -1)):
+    for pq, t_shift in (((1, 2), 1), ((3, 8), 1), ((2, 5), -1), ((7, 8), -1)):
         r = EvenRational(*pq)
         rep = reconstruct_fiber_grid(r, r.big_p + t_shift)
         assert rep.grid_ok, (pq, rep.reason)
 
 
+def test_every_fiber_is_a_full_grid():
+    # one period of centres lands on every fiber as all omega x omega points
+    # (U1, U2) in (2/omega)Z, and the padded forced walls cut it into
+    # single-labeled cells
+    for r in even_rationals(11):
+        om = r.omega
+        for t in range(1 - 2 * om, 2 * om, 2):
+            rep = reconstruct_fiber_grid(r, Fraction(t, om))
+            u1s = {u for u, _ in rep.points}
+            u2s = {v for _, v in rep.points}
+            assert len(rep.points) == om * om, (r, t)
+            assert len(u1s) == len(u2s) == om, (r, t)
+            assert rep.grid_ok, (r, t, rep.reason)
+
+
 def test_fiber_t_values_are_exactly_the_odd_scaled_ones():
-    # the omega^2 x omega centres that reconstruct_fiber_grid reads reach
+    # the omega^2 x 2 omega centres that reconstruct_fiber_grid reads reach
     # every odd omega*T in [-2 omega, 2 omega), and no other T
     for r in even_rationals(15):
         om, p = r.omega, r.p
         reached = {_center_scaled(om, p, a, b)[0]
-                   for a in range(om * om) for b in range(om)}
+                   for a in range(om * om) for b in range(2 * om)}
         assert reached == set(range(1 - 2 * om, 2 * om, 2)), r
 
 
 def test_center_scaled_is_injective_on_one_period():
     # the classifying map's period lattice is omega^2 Z x 2 omega Z, so the
-    # omega^2 x omega centres that reconstruct_fiber_grid reads are
+    # omega^2 x 2 omega centres that reconstruct_fiber_grid reads are
     # distinct points
     for r in even_rationals(15):
         om, p = r.omega, r.p
@@ -269,6 +284,19 @@ def test_limit_experiment_terms_stay_below_int64_guard(monkeypatch):
     assert kept[-1][0] == 2 ** 26
     assert all(om < 2 * q_max for q_max, om in seen)
     assert max(om for _, om in kept) < 2 ** 27 < _MAX_OMEGA
+
+
+def test_limit_experiment_rejects_bad_inputs():
+    # the command line rejects a window or depth below 1 before the call
+    for prefix, window, depth, message in (
+            ((2,), 4, 3, "prefix digits must be 0 or 1"),
+            ((0, 1, 2), 4, 3, "prefix digits must be 0 or 1"),
+            ((0,), 0, 3, "window must be at least 1"),
+            ((0,), -2, 3, "window must be at least 1"),
+            ((0,), 4, 0, "depth must be at least 1"),
+            ((0,), 4, -1, "depth must be at least 1")):
+        with pytest.raises(ValueError, match=message):
+            limit_experiment(GOLDEN, prefix, window=window, depth=depth)
 
 
 def test_limit_experiment_empty_prefix_baseline():
